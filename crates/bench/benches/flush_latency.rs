@@ -4,40 +4,25 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spritely_bench::{artifact, artifact_file, bench_ledger, config};
-use spritely_harness::{
-    report, run_flush, run_flush_with, Protocol, TestbedParams, WriteBehindParams,
-};
+use spritely_harness::{report, run_flush, run_flush_latency, WriteBehindParams};
 
 const BLOCKS: usize = 64;
 
 fn bench(c: &mut Criterion) {
-    let runs = vec![
-        run_flush("paper (serial)", WriteBehindParams::default(), BLOCKS),
-        run_flush("pipelined", WriteBehindParams::pipelined(), BLOCKS),
-    ];
+    let exp = run_flush_latency(BLOCKS);
+    let runs = &exp.runs;
     let serial = runs[0].flush_time;
     let piped = runs[1].flush_time;
-    let speedup = serial.as_secs_f64() / piped.as_secs_f64();
+    let speedup = exp.speedup();
     artifact(
         "Flush latency: 64-block write-back, serial vs gathered+pipelined",
-        &format!("{}\nspeedup: {speedup:.2}x", report::flush_table(&runs)),
+        &exp.report(),
     );
     // Traced pipelined flush: checker-validated, artifacts for Perfetto.
-    let traced = run_flush_with(
-        "pipelined+trace",
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            update_enabled: false,
-            write_behind: WriteBehindParams::pipelined(),
-            trace: true,
-            ..TestbedParams::default()
-        },
-        BLOCKS,
-    );
-    let trace = traced.trace.as_ref().expect("tracing was on");
+    let trace = exp.traced.trace.as_ref().expect("tracing was on");
     artifact_file("trace_flush_pipelined.jsonl", &trace.to_jsonl());
     artifact_file("trace_flush_pipelined.chrome.json", &trace.to_chrome_json());
-    artifact_file("stats_flush_pipelined.json", &traced.stats.to_json());
+    artifact_file("stats_flush_pipelined.json", &exp.traced.stats.to_json());
     assert!(
         trace.ok(),
         "trace checker found violations:\n{}",

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spritely_bench::{artifact, artifact_file, bench_ledger, config, slug_of};
-use spritely_harness::{report, run_andrew, run_andrew_with, Protocol, TestbedParams};
+use spritely_harness::{report, run_andrew, run_andrew_traced, Protocol};
 use spritely_trace::profile_trace;
 
 fn bench(c: &mut Criterion) {
@@ -19,15 +19,7 @@ fn bench(c: &mut Criterion) {
     // One traced SNFS run: the checker validates every state-table
     // transition and callback, and the trace + stats snapshot land in
     // artifacts/ for Perfetto / offline diffing.
-    let traced = run_andrew_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            trace: true,
-            ..TestbedParams::default()
-        },
-        42,
-    );
+    let traced = run_andrew_traced(42);
     let trace = traced.trace.as_ref().expect("tracing was on");
     artifact_file("trace_andrew_snfs.jsonl", &trace.to_jsonl());
     artifact_file("trace_andrew_snfs.chrome.json", &trace.to_chrome_json());

@@ -111,6 +111,26 @@ pub struct DelegationStats {
     pub recall_latency: RecallHistogram,
 }
 
+impl std::ops::AddAssign for DelegationStats {
+    fn add_assign(&mut self, o: Self) {
+        self.grants_read += o.grants_read;
+        self.grants_write += o.grants_write;
+        self.local_opens += o.local_opens;
+        self.local_closes += o.local_closes;
+        self.recalls += o.recalls;
+        self.returns += o.returns;
+        self.revokes += o.revokes;
+        for (b, ob) in self
+            .recall_latency
+            .buckets
+            .iter_mut()
+            .zip(o.recall_latency.buckets)
+        {
+            *b += ob;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,6 +155,14 @@ pub struct ServerStats {
     pub reclaim_passes: u64,
 }
 
+impl std::ops::AddAssign for ServerStats {
+    fn add_assign(&mut self, o: Self) {
+        self.callbacks_sent += o.callbacks_sent;
+        self.callbacks_failed += o.callbacks_failed;
+        self.reclaim_passes += o.reclaim_passes;
+    }
+}
+
 /// A server's place in a sharded namespace (DESIGN.md §18): its shard
 /// index, its export root, and the authority layout every shard shares.
 #[derive(Clone)]

@@ -68,6 +68,21 @@ pub fn run_andrew(protocol: Protocol, tmp_remote: bool, seed: u64) -> AndrewRun 
     )
 }
 
+/// The paper's headline configuration — SNFS with `/tmp` remote — with
+/// event tracing on: the run the trace checker and latency profiler
+/// read.
+pub fn run_andrew_traced(seed: u64) -> AndrewRun {
+    run_andrew_with(
+        TestbedParams {
+            protocol: Protocol::Snfs,
+            tmp_remote: true,
+            trace: true,
+            ..TestbedParams::default()
+        },
+        seed,
+    )
+}
+
 /// [`run_andrew`] with full control of the testbed (for ablations).
 pub fn run_andrew_with(params: TestbedParams, seed: u64) -> AndrewRun {
     let protocol = params.protocol;

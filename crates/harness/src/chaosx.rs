@@ -80,7 +80,7 @@ impl ChaosVerdict {
 /// in the paper configuration, or every shard's store folded together in
 /// shard order for a sharded namespace (DESIGN.md §18).
 pub fn testbed_digest(tb: &Testbed) -> u64 {
-    if tb.shard_hosts.is_empty() {
+    if tb.shard_hosts.len() < 2 {
         server_digest(&tb.server_fs)
     } else {
         let mut h = Fnv::new();

@@ -99,6 +99,53 @@ pub fn run_flush_with(label: &'static str, params: TestbedParams, blocks: usize)
     }
 }
 
+/// The flush-latency experiment: the paper's serial flush and the
+/// gathered + pipelined write-behind pool over the same dirty file,
+/// plus the pipelined flush traced for the invariant checker.
+pub struct FlushLatency {
+    /// The serial flush, then the pipelined one.
+    pub runs: Vec<FlushRun>,
+    /// The pipelined flush with tracing on.
+    pub traced: FlushRun,
+}
+
+impl FlushLatency {
+    /// Serial over pipelined flush time.
+    pub fn speedup(&self) -> f64 {
+        self.runs[0].flush_time.as_secs_f64() / self.runs[1].flush_time.as_secs_f64()
+    }
+
+    /// The flush table plus the speedup line.
+    pub fn report(&self) -> String {
+        format!(
+            "{}\nspeedup: {:.2}x",
+            crate::report::flush_table(&self.runs),
+            self.speedup()
+        )
+    }
+}
+
+/// Runs the flush-latency experiment over `blocks` dirty blocks.
+pub fn run_flush_latency(blocks: usize) -> FlushLatency {
+    FlushLatency {
+        runs: vec![
+            run_flush("paper (serial)", WriteBehindParams::default(), blocks),
+            run_flush("pipelined", WriteBehindParams::pipelined(), blocks),
+        ],
+        traced: run_flush_with(
+            "pipelined+trace",
+            TestbedParams {
+                protocol: Protocol::Snfs,
+                update_enabled: false,
+                write_behind: WriteBehindParams::pipelined(),
+                trace: true,
+                ..TestbedParams::default()
+            },
+            blocks,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

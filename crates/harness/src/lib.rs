@@ -12,6 +12,8 @@
 //! | Table 5-6 (RPCs, update on/off) | [`run_sort_experiment`] | [`report::sort_rpc_table`] |
 //! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] |
 //! | temp-lifetime ablation | [`run_temp_lifetime`] | — |
+//! | flush latency | [`run_flush_latency`] | [`FlushLatency::report`] |
+//! | RPC transport | [`run_transport_comparison`] | [`TransportComparison::report`] |
 
 pub mod compare;
 pub mod config;
@@ -26,14 +28,15 @@ mod microx;
 mod scaling;
 mod sortx;
 mod testbed;
+mod transportx;
 
-pub use andrew::{run_andrew, run_andrew_with, AndrewRun};
+pub use andrew::{run_andrew, run_andrew_traced, run_andrew_with, AndrewRun};
 pub use chaosx::{
     chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, server_digest,
     testbed_digest, ChaosVerdict,
 };
 pub use compare::{compare_json, CompareOptions, CompareReport};
-pub use flushx::{run_flush, run_flush_with, FlushRun};
+pub use flushx::{run_flush, run_flush_latency, run_flush_with, FlushLatency, FlushRun};
 pub use matrix::{render_matrix, run_matrix, Experiment, MatrixResult};
 pub use microx::{run_reopen, run_temp_lifetime, ReopenRun, TempLifetimeRun};
 pub use scaling::{
@@ -51,6 +54,9 @@ pub use spritely_core::{
 pub use spritely_rpcnet::{FaultParams, PartitionDir, TransportParams, TransportStats};
 pub use testbed::{
     ClientHost, Protocol, RemoteClient, ShardHost, ShardParams, Testbed, TestbedParams,
+};
+pub use transportx::{
+    run_data_scaling, run_transport_comparison, DataScalingRun, TransportComparison,
 };
 
 #[cfg(test)]
@@ -73,6 +79,8 @@ mod tests {
             });
             assert_eq!(tb.clients.len(), 1);
             assert_eq!(tb.endpoint.is_some(), p != Protocol::Local, "{p:?}");
+            // One shard host per SNFS server, the paper's single one included.
+            assert_eq!(tb.shard_hosts.len(), usize::from(p.is_snfs()), "{p:?}");
         }
     }
 

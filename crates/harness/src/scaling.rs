@@ -182,7 +182,7 @@ pub fn run_scaling_with(params: TestbedParams, n_clients: usize, seed: u64) -> S
 
 /// Results of one sharded scaling point (DESIGN.md §18.6).
 pub struct ScalingShardsRun {
-    /// Number of server shards (1 = the unsharded paper testbed).
+    /// Number of server shards (1 = the paper's single server).
     pub shards: usize,
     /// Number of concurrently active clients.
     pub clients: usize,
@@ -195,8 +195,7 @@ pub struct ScalingShardsRun {
     /// RPCs served per shard during the measured window (one entry at
     /// `shards == 1`).
     pub per_shard_rpcs: Vec<u64>,
-    /// Peak client block-cache footprint in KiB (0 when unsharded — the
-    /// gauge ships with the shards snapshot section).
+    /// Largest per-client peak block-cache footprint, in KiB.
     pub peak_client_kb: u64,
     /// Unified end-of-run statistics snapshot (serializable).
     pub stats: crate::snapshot::StatsSnapshot,
@@ -216,8 +215,8 @@ const SHARD_SCALE_BLOCKS: usize = 2;
 /// scale with the shard count until the wire saturates.
 ///
 /// Throughput is measured as RPCs served across all shards per simulated
-/// second of makespan. `n_shards == 1` builds the unsharded paper
-/// testbed, making it the baseline the sharded points are compared
+/// second of makespan. `n_shards == 1` builds the paper's single
+/// server, making it the baseline the sharded points are compared
 /// against.
 pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> ScalingShardsRun {
     let tb = Testbed::build_with_clients(
@@ -246,14 +245,11 @@ pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> Scali
     }
     // Measured run: all clients at once, shared-nothing.
     let t0 = tb.sim.now();
-    let shard_before: Vec<u64> = if tb.shard_hosts.is_empty() {
-        vec![tb.counter.snapshot().total()]
-    } else {
-        tb.shard_hosts
-            .iter()
-            .map(|sh| sh.counter.snapshot().total())
-            .collect()
-    };
+    let shard_before: Vec<u64> = tb
+        .shard_hosts
+        .iter()
+        .map(|sh| sh.counter.snapshot().total())
+        .collect();
     let mut handles = Vec::new();
     for (i, host) in tb.clients.iter().enumerate() {
         let p = host.proc(&tb.sim);
@@ -354,15 +350,12 @@ pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> Scali
         tb.sim.run_until(h);
     }
     let makespan = tb.sim.now().duration_since(t0);
-    let per_shard_rpcs: Vec<u64> = if tb.shard_hosts.is_empty() {
-        vec![tb.counter.snapshot().total() - shard_before[0]]
-    } else {
-        tb.shard_hosts
-            .iter()
-            .zip(&shard_before)
-            .map(|(sh, b)| sh.counter.snapshot().total() - b)
-            .collect()
-    };
+    let per_shard_rpcs: Vec<u64> = tb
+        .shard_hosts
+        .iter()
+        .zip(&shard_before)
+        .map(|(sh, b)| sh.counter.snapshot().total() - b)
+        .collect();
     let total_rpcs: u64 = per_shard_rpcs.iter().sum();
     let stats = tb.stats_snapshot();
     ScalingShardsRun {
@@ -372,7 +365,7 @@ pub fn run_scaling_shards(n_shards: usize, n_clients: usize, seed: u64) -> Scali
         total_rpcs,
         throughput: total_rpcs as f64 / makespan.as_secs_f64(),
         per_shard_rpcs,
-        peak_client_kb: stats.shards.as_ref().map_or(0, |s| s.peak_client_kb),
+        peak_client_kb: tb.peak_client_kb(),
         stats,
     }
 }

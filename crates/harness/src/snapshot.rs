@@ -214,8 +214,8 @@ impl From<&spritely_trace::Profile> for ProfileSnapshot {
 /// Delegation-subsystem accounting (present only when the run enabled
 /// delegations — a paper-mode snapshot serializes byte-identically to
 /// one taken before the subsystem existed). Server-side counters
-/// (grants, recalls, returns, revokes, recall latency) come from the
-/// SNFS server; the local fast-path counters are summed across clients.
+/// (grants, recalls, returns, revokes, recall latency) are summed across
+/// the SNFS servers; the local fast-path counters across clients.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DelegationSnapshot {
     /// Merged counters: server grant/recall/return/revoke side plus the
@@ -270,12 +270,14 @@ pub struct ShardsSnapshot {
     pub shards: Vec<ShardSnapshot>,
 }
 
-/// The server's counters at the end of a run (SNFS protocols only).
+/// The SNFS servers' counters at the end of a run, summed over every
+/// shard (SNFS protocols only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerSnapshot {
     /// Callback statistics.
     pub stats: ServerStats,
-    /// Peak concurrent callbacks (must stay ≤ N−1, §3.2).
+    /// Peak concurrent callbacks on any one server (must stay ≤ N−1,
+    /// §3.2).
     pub callback_peak: u64,
     /// State-table entries at snapshot time.
     pub table_entries: u64,
@@ -287,13 +289,14 @@ pub struct ServerSnapshot {
 pub struct StatsSnapshot {
     /// Protocol label ("SNFS", "NFS", ...).
     pub protocol: String,
-    /// Total RPCs the server endpoint served.
+    /// Total RPCs the server endpoints served.
     pub rpc_total: u64,
     /// Per-client counters, in client-id order.
     pub clients: Vec<ClientSnapshot>,
-    /// Server counters (SNFS only).
+    /// Server counters (SNFS only), summed over every shard.
     pub server: Option<ServerSnapshot>,
-    /// Server-side cache and disk-queue counters (all protocols).
+    /// Server-side cache and disk-queue counters (all protocols),
+    /// summed over every server; peaks are the worst server's.
     pub server_io: ServerIoSnapshot,
     /// Transport-pipeline counters (all protocols).
     pub transport: TransportSnapshot,

@@ -1,6 +1,6 @@
-//! Testbed construction: one server (or a sharded group of servers),
-//! one or more diskful clients, a shared Ethernet, and a protocol
-//! choice per experiment.
+//! Testbed construction: one or more server shards (the paper's single
+//! server is the one-shard layout), one or more diskful clients, a
+//! shared Ethernet, and a protocol choice per experiment.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,6 +22,8 @@ use spritely_trace::Tracer;
 use spritely_vfs::{FsBackend, Mount, Proc, Vfs};
 
 use crate::config;
+
+type NfsEndpoint = Endpoint<NfsRequest, NfsReply>;
 
 /// Which file service the experiment runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,9 +63,10 @@ impl Protocol {
 /// with its own disk, file system, CPU, state table, and endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardParams {
-    /// Number of server shards. With `n = 1` — the paper configuration —
-    /// the sharded build path is not even taken: the testbed constructs
-    /// the exact single-server topology it always has, byte for byte.
+    /// Number of server shards (at least 1). `n = 1` — the paper
+    /// configuration — is the one-shard layout: one server whose names
+    /// all route to it, built without any of the cross-shard machinery,
+    /// so its runs stay byte-identical to the paper testbed's.
     pub n: usize,
 }
 
@@ -146,8 +149,9 @@ pub struct TestbedParams {
     /// inert — no grants, no new RPCs, byte-identical artifacts.
     pub delegation: DelegationParams,
     /// Namespace sharding (DESIGN.md §18). The default
-    /// ([`ShardParams::paper`], one shard) leaves the single-server
-    /// build path untouched and byte-identical.
+    /// ([`ShardParams::paper`]) is the one-shard layout: the paper's
+    /// single server, byte-identical. More than one shard requires an
+    /// SNFS protocol and no name cache.
     pub shards: ShardParams,
 }
 
@@ -211,10 +215,10 @@ impl ClientHost {
     }
 }
 
-/// One shard's server stack in a sharded testbed: its own CPU, disk
-/// file system, SNFS server, endpoint, and RPC counter. All handles are
-/// cheap clones of reference-counted state; shard 0's are the same
-/// objects as the `Testbed`'s dedicated single-server fields.
+/// One SNFS server's stack: its own CPU, disk file system, SNFS server,
+/// endpoint, and RPC counter. All handles are cheap clones of
+/// reference-counted state; shard 0's are the same objects as the
+/// `Testbed`'s dedicated single-server fields.
 #[derive(Clone)]
 pub struct ShardHost {
     /// Shard index (0-based; this shard exports `fsid = shard + 1`).
@@ -270,9 +274,9 @@ pub struct Testbed {
     pub clients: Vec<ClientHost>,
     /// Well-known directories on the server: (src, target, tmp).
     pub server_dirs: (FileHandle, FileHandle, FileHandle),
-    /// Per-shard server stacks. Empty in the single-server paper
-    /// configuration; length `n ≥ 2` in sharded runs, where entry 0
-    /// aliases the dedicated single-server fields above.
+    /// Per-shard SNFS server stacks, one per shard (exactly one in the
+    /// paper configuration); empty for the NFS and local protocols.
+    /// Entry 0 aliases the dedicated single-server fields above.
     pub shard_hosts: Vec<ShardHost>,
     /// The authoritative layout map shared by the shard servers
     /// (sharded runs only).
@@ -285,30 +289,59 @@ impl Testbed {
         Self::build_with_clients(params, 1)
     }
 
-    /// Builds a testbed with `n_clients` client hosts.
+    /// Builds a testbed with `n_clients` client hosts and
+    /// `params.shards.n` server hosts. The paper's single server is the
+    /// one-shard layout; it leaves out only what several shards need —
+    /// the servers' layout view, inter-shard callers, the `shards` trace
+    /// meta, and shard-numbered host names.
     pub fn build_with_clients(params: TestbedParams, n_clients: usize) -> Self {
         assert!(n_clients >= 1, "need at least one client");
-        if params.shards.n > 1 {
-            // The sharded topology is a separate construction path so
-            // the single-server path below stays byte-for-byte what it
-            // always was.
-            return Self::build_sharded(params, n_clients);
+        let n_shards = params.shards.n;
+        assert!(n_shards >= 1, "need at least one shard");
+        let sharded = n_shards > 1;
+        if sharded {
+            assert!(
+                params.protocol.is_snfs(),
+                "a sharded namespace requires an SNFS protocol (got {:?})",
+                params.protocol
+            );
+            assert!(
+                !params.name_cache,
+                "name caching is not supported over a sharded namespace: \
+                 a cached root binding would bypass the layout map"
+            );
         }
+        let host = |s: usize, what: &str| {
+            if sharded {
+                format!("server{s}-{what}")
+            } else {
+                format!("server-{what}")
+            }
+        };
         let sim = Sim::new();
-        // ---- server ------------------------------------------------------
-        let server_disk = Disk::with_sched(
-            &sim,
-            "server-disk",
-            config::disk_params(),
-            params.server_io.sched,
-        );
-        let mut server_fsp = config::server_fs_params(params.update_enabled);
-        server_fsp.cache_blocks = params.server_io.cache_blocks;
-        server_fsp.single_flight_reads = params.server_io.single_flight_reads;
-        let server_fs = LocalFs::new(&sim, 1, server_disk, server_fsp);
-        server_fs.spawn_update_daemon();
-        let server_cpu = Resource::new(&sim, "server-cpu", 1);
-        let counter = OpCounter::new();
+        let layout = Rc::new(RefCell::new(Layout::new(n_shards as u32)));
+        // ---- server hosts ------------------------------------------------
+        let mut server_fs: Vec<LocalFs> = Vec::new();
+        let mut server_cpu: Vec<Resource> = Vec::new();
+        let mut counters: Vec<OpCounter> = Vec::new();
+        for s in 0..n_shards {
+            let disk = Disk::with_sched(
+                &sim,
+                host(s, "disk"),
+                config::disk_params(),
+                params.server_io.sched,
+            );
+            let mut fsp = config::server_fs_params(params.update_enabled);
+            fsp.cache_blocks = params.server_io.cache_blocks;
+            fsp.single_flight_reads = params.server_io.single_flight_reads;
+            // Shard s exports fsid s + 1; handle-addressed requests
+            // route on nothing else.
+            let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
+            fs.spawn_update_daemon();
+            server_fs.push(fs);
+            server_cpu.push(Resource::new(&sim, host(s, "cpu"), 1));
+            counters.push(OpCounter::new());
+        }
         let rates = RateSeries::new(config::figure_bucket());
         let util = GaugeSeries::new();
         let latency = LatencyStats::new();
@@ -327,65 +360,144 @@ impl Testbed {
             t.meta("protocol", params.protocol.label());
             t.meta("clients", n_clients.to_string());
             t.meta("disk_sched", params.server_io.sched.meta_value());
-            server_fs.disk().set_tracer(t.clone());
-            server_fs.set_tracer(t.clone());
+            if sharded {
+                t.meta("shards", n_shards.to_string());
+            }
+            for fs in &server_fs {
+                fs.disk().set_tracer(t.clone());
+                fs.set_tracer(t.clone());
+            }
             net.set_tracer(t.clone());
             t
         });
-        // Well-known server directories.
-        let root = server_fs.root();
+        // Well-known directories, each created on the shard that owns
+        // its name under the initial layout.
+        let roots: Vec<FileHandle> = server_fs.iter().map(|f| f.root()).collect();
         let (src_dir, target_dir, tmp_dir) = {
-            let fs = server_fs.clone();
+            let place = |name: &'static str| {
+                let s = layout.borrow().owner(name) as usize;
+                (server_fs[s].clone(), roots[s], name)
+            };
+            let dirs = [place("src"), place("target"), place("tmp")];
             sim.block_on(async move {
-                let (s, _) = fs.mkdir(root, "src").await.expect("mkdir src");
-                let (t, _) = fs.mkdir(root, "target").await.expect("mkdir target");
-                let (m, _) = fs.mkdir(root, "tmp").await.expect("mkdir tmp");
-                (s, t, m)
+                let mut fhs = Vec::new();
+                for (fs, root, name) in dirs {
+                    let (fh, _) = fs.mkdir(root, name).await.expect("mkdir well-known dir");
+                    fhs.push(fh);
+                }
+                (fhs[0], fhs[1], fhs[2])
             })
         };
-        // ---- protocol endpoint --------------------------------------------
+        // ---- protocol servers + endpoints ----------------------------------
         // The admission width (endpoint threads) comes from the server I/O
         // params: that many RPCs may overlap CPU with disk waits.
         let mut ep_params = config::endpoint_params();
         ep_params.threads = params.server_io.service_threads;
-        let mut snfs_server = None;
-        let endpoint = match params.protocol {
-            Protocol::Local => None,
-            Protocol::Nfs | Protocol::NfsFixed => {
-                let ep = nfs_server(
+        let mut endpoints: Vec<NfsEndpoint> = Vec::new();
+        let mut shard_hosts: Vec<ShardHost> = Vec::new();
+        for s in 0..n_shards {
+            let (fs, cpu, counter) = (&server_fs[s], &server_cpu[s], &counters[s]);
+            let ep = match params.protocol {
+                // The local protocol serves no RPCs.
+                Protocol::Local => break,
+                Protocol::Nfs | Protocol::NfsFixed => nfs_server(
                     &sim,
                     "nfsd",
-                    server_fs.clone(),
-                    server_cpu.clone(),
+                    fs.clone(),
+                    cpu.clone(),
                     ep_params,
                     counter.clone(),
-                );
-                ep.set_rate_series(rates.clone());
-                if let Some(t) = &tracer {
-                    ep.set_tracer(t.clone());
+                ),
+                Protocol::Snfs | Protocol::SnfsDelayedClose => {
+                    let mut sp = params.snfs_server;
+                    sp.delegation = params.delegation;
+                    let srv =
+                        SnfsServer::new(&sim, fs.clone(), params.server_io.service_threads, sp);
+                    if let Some(t) = &tracer {
+                        srv.set_tracer(t.clone());
+                    }
+                    let name = if sharded {
+                        srv.set_shard(s as u32, roots[s], Rc::clone(&layout));
+                        format!("snfsd{s}")
+                    } else {
+                        "snfsd".to_string()
+                    };
+                    let ep = srv.endpoint(name, cpu.clone(), ep_params, counter.clone());
+                    shard_hosts.push(ShardHost {
+                        shard: s as u32,
+                        cpu: cpu.clone(),
+                        fs: fs.clone(),
+                        server: srv,
+                        endpoint: ep.clone(),
+                        counter: counter.clone(),
+                    });
+                    ep
                 }
-                Some(ep)
+            };
+            ep.set_rate_series(rates.clone());
+            if let Some(t) = &tracer {
+                ep.set_tracer(t.clone());
             }
-            Protocol::Snfs | Protocol::SnfsDelayedClose => {
-                let mut sp = params.snfs_server;
-                sp.delegation = params.delegation;
-                let srv = SnfsServer::new(
+            endpoints.push(ep);
+        }
+        // ---- inter-shard coordination callers -----------------------------
+        // Coordinator shard s reaches peer p through a dedicated caller
+        // carrying ClientId(10_000 + s); all of s's peer callers share
+        // one xid space. Their fault link is host 200 + s, so a chaos
+        // script can sever one shard's coordination traffic without
+        // touching any client's.
+        for (s, sh) in shard_hosts.iter().enumerate() {
+            let mut first: Option<Caller<NfsRequest, NfsReply>> = None;
+            for (p, peer) in shard_hosts.iter().enumerate() {
+                if p == s {
+                    continue;
+                }
+                let mut c = Caller::new(
                     &sim,
-                    server_fs.clone(),
-                    params.server_io.service_threads,
-                    sp,
+                    net.clone(),
+                    peer.endpoint.clone(),
+                    ClientId(10_000 + s as u32),
+                    sh.cpu.clone(),
+                    config::caller_params(),
                 );
+                c.set_fault_link(200 + s as u32, false);
                 if let Some(t) = &tracer {
-                    srv.set_tracer(t.clone());
+                    c.set_tracer(t.clone());
                 }
-                let ep = srv.endpoint("snfsd", server_cpu.clone(), ep_params, counter.clone());
-                ep.set_rate_series(rates.clone());
-                if let Some(t) = &tracer {
-                    ep.set_tracer(t.clone());
+                match &first {
+                    Some(f) => c.share_xids_with(f),
+                    None => first = Some(c.clone()),
                 }
-                snfs_server = Some(srv);
-                Some(ep)
+                sh.server.register_peer(p as u32, c);
             }
+        }
+        // One caller per server, all sharing the client's xid space so
+        // retransmit detection and the per-shard duplicate caches see
+        // one coherent (client, xid) stream. Over a single server the
+        // ShardCaller is a pure pass-through.
+        let client_caller = |cid: ClientId, cpu: &Resource| {
+            let mut callers: Vec<Caller<NfsRequest, NfsReply>> = Vec::new();
+            for ep in &endpoints {
+                let mut c = Caller::new(
+                    &sim,
+                    net.clone(),
+                    ep.clone(),
+                    cid,
+                    cpu.clone(),
+                    config::caller_params(),
+                );
+                c.set_transport(params.transport);
+                c.set_transport_stats(transport_stats.clone());
+                c.set_latency_stats(latency.clone());
+                if let Some(t) = &tracer {
+                    c.set_tracer(t.clone());
+                }
+                if let Some(f) = callers.first() {
+                    c.share_xids_with(f);
+                }
+                callers.push(c);
+            }
+            ShardCaller::sharded(&sim, callers, roots.clone(), params.protocol.is_snfs())
         };
         // ---- clients -------------------------------------------------------
         let mut clients = Vec::new();
@@ -410,58 +522,24 @@ impl Testbed {
                     t
                 })
             };
-            let (remote, remote_backend) = match (&endpoint, params.protocol) {
-                (None, _) => (RemoteClient::None, None),
-                (Some(ep), Protocol::Nfs | Protocol::NfsFixed) => {
-                    let caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        ep.clone(),
-                        cid,
-                        cpu.clone(),
-                        config::caller_params(),
-                    );
-                    caller.set_transport(params.transport);
-                    caller.set_transport_stats(transport_stats.clone());
-                    caller.set_latency_stats(latency.clone());
-                    if let Some(t) = &tracer {
-                        caller.set_tracer(t.clone());
-                    }
-                    let client = NfsClient::new(
-                        &sim,
-                        caller,
-                        NfsClientParams {
-                            attr_min: params.nfs_attr_min,
-                            invalidate_on_close: params.protocol == Protocol::Nfs,
-                            read_ahead: params.read_ahead,
-                            cache_blocks: params.client_cache_blocks,
-                            name_cache: params.name_cache,
-                            ..NfsClientParams::default()
-                        },
-                    );
-                    (
-                        RemoteClient::Nfs(client.clone()),
-                        Some(FsBackend::Nfs(client)),
-                    )
-                }
-                (Some(ep), Protocol::Snfs | Protocol::SnfsDelayedClose) => {
-                    let caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        ep.clone(),
-                        cid,
-                        cpu.clone(),
-                        config::caller_params(),
-                    );
-                    caller.set_transport(params.transport);
-                    caller.set_transport_stats(transport_stats.clone());
-                    caller.set_latency_stats(latency.clone());
-                    if let Some(t) = &tracer {
-                        caller.set_tracer(t.clone());
-                    }
+            let remote = match params.protocol {
+                Protocol::Local => RemoteClient::None,
+                Protocol::Nfs | Protocol::NfsFixed => RemoteClient::Nfs(NfsClient::new(
+                    &sim,
+                    client_caller(cid, &cpu),
+                    NfsClientParams {
+                        attr_min: params.nfs_attr_min,
+                        invalidate_on_close: params.protocol == Protocol::Nfs,
+                        read_ahead: params.read_ahead,
+                        cache_blocks: params.client_cache_blocks,
+                        name_cache: params.name_cache,
+                        ..NfsClientParams::default()
+                    },
+                )),
+                Protocol::Snfs | Protocol::SnfsDelayedClose => {
                     let client = SnfsClient::new(
                         &sim,
-                        caller,
+                        client_caller(cid, &cpu),
                         SnfsClientParams {
                             cache_blocks: params.client_cache_blocks,
                             write_delay: params.snfs_write_delay,
@@ -482,69 +560,71 @@ impl Testbed {
                     }
                     client.spawn_update_daemon();
                     client.spawn_keepalive_daemon(SimDuration::from_secs(10));
-                    // Register the callback channel.
-                    let srv = snfs_server.as_ref().expect("SNFS server exists");
+                    // One callback endpoint per client, registered with
+                    // every server. The per-server callback callers share
+                    // one xid space per client — two shards must never
+                    // reuse an xid against the same client's
+                    // duplicate-request cache.
                     let cb_ep = client.callback_endpoint(
                         format!("cbsrv{}", cid.0),
                         cpu.clone(),
                         config::callback_endpoint_params(),
-                        counter.clone(),
+                        counters[0].clone(),
                     );
                     if let Some(t) = &tracer {
                         cb_ep.set_tracer(t.clone());
                     }
                     cb_endpoints.push(cb_ep.clone());
-                    let cb_caller = Caller::new(
-                        &sim,
-                        net.clone(),
-                        cb_ep,
-                        ClientId(0),
-                        server_cpu.clone(),
-                        config::caller_params(),
-                    );
-                    // Callback callers carry ClientId(0) (they originate at
-                    // the server); their fault link is the *client* host in
-                    // the server→client direction, so a partition of the
-                    // client host severs both its request and callback legs.
-                    cb_caller.set_fault_link(cid.0, true);
-                    if let Some(t) = &tracer {
-                        cb_caller.set_tracer(t.clone());
+                    let mut first_cb: Option<
+                        Caller<spritely_proto::CallbackArg, spritely_proto::CallbackReply>,
+                    > = None;
+                    for sh in &shard_hosts {
+                        let mut cb_caller = Caller::new(
+                            &sim,
+                            net.clone(),
+                            cb_ep.clone(),
+                            ClientId(0),
+                            sh.cpu.clone(),
+                            config::caller_params(),
+                        );
+                        // Callback callers carry ClientId(0) (they
+                        // originate at the server); their fault link is
+                        // the *client* host in the server→client
+                        // direction, so a partition of the client host
+                        // severs both its request and callback legs.
+                        cb_caller.set_fault_link(cid.0, true);
+                        if let Some(t) = &tracer {
+                            cb_caller.set_tracer(t.clone());
+                        }
+                        match &first_cb {
+                            Some(f) => cb_caller.share_xids_with(f),
+                            None => first_cb = Some(cb_caller.clone()),
+                        }
+                        sh.server.register_client(cid, cb_caller);
                     }
-                    srv.register_client(cid, cb_caller);
-                    (
-                        RemoteClient::Snfs(client.clone()),
-                        Some(FsBackend::Snfs(client)),
-                    )
+                    RemoteClient::Snfs(client)
                 }
-                (Some(_), Protocol::Local) => unreachable!("local has no endpoint"),
             };
             // ---- mounts ----
-            let mut mounts = vec![Mount::new("/", FsBackend::Local(local_fs.clone()), lroot)];
-            match &remote_backend {
-                Some(backend) => {
-                    mounts.push(Mount::new("/remote", backend.clone(), root));
-                    let tmp_backend = if params.tmp_remote {
-                        Mount::new("/usr/tmp", backend.clone(), tmp_dir)
-                    } else {
-                        Mount::new("/usr/tmp", FsBackend::Local(local_fs.clone()), ltmp)
-                    };
-                    mounts.push(tmp_backend);
-                }
-                None => {
-                    // Local protocol: "/remote" is just the local disk too.
-                    mounts.push(Mount::new(
-                        "/remote",
-                        FsBackend::Local(local_fs.clone()),
-                        lroot,
-                    ));
-                    mounts.push(Mount::new(
-                        "/usr/tmp",
-                        FsBackend::Local(local_fs.clone()),
-                        ltmp,
-                    ));
-                }
-            }
-            let vfs = Vfs::new(mounts);
+            let backend = match &remote {
+                RemoteClient::None => None,
+                RemoteClient::Nfs(c) => Some(FsBackend::Nfs(c.clone())),
+                RemoteClient::Snfs(c) => Some(FsBackend::Snfs(c.clone())),
+            };
+            let local = FsBackend::Local(local_fs.clone());
+            // Local protocol: "/remote" is just the local disk too.
+            let (remote_fs, remote_root) = backend
+                .clone()
+                .map_or((local.clone(), lroot), |b| (b, roots[0]));
+            let (tmp_fs, tmp_root) = match backend {
+                Some(b) if params.tmp_remote => (b, tmp_dir),
+                _ => (local.clone(), ltmp),
+            };
+            let vfs = Vfs::new(vec![
+                Mount::new("/", local, lroot),
+                Mount::new("/remote", remote_fs, remote_root),
+                Mount::new("/usr/tmp", tmp_fs, tmp_root),
+            ]);
             clients.push(ClientHost {
                 cpu,
                 local_fs,
@@ -555,313 +635,22 @@ impl Testbed {
         Testbed {
             sim,
             params,
-            server_cpu,
-            server_fs,
-            snfs_server,
-            counter,
+            server_cpu: server_cpu[0].clone(),
+            server_fs: server_fs[0].clone(),
+            snfs_server: shard_hosts.first().map(|sh| sh.server.clone()),
+            counter: counters[0].clone(),
             rates,
             latency,
             util,
             net,
             transport_stats,
             tracer,
-            endpoint,
-            cb_endpoints,
-            clients,
-            server_dirs: (src_dir, target_dir, tmp_dir),
-            shard_hosts: Vec::new(),
-            layout: None,
-        }
-    }
-
-    /// Builds the sharded topology (DESIGN.md §18): `n` full server
-    /// stacks, one authoritative layout map, inter-shard coordination
-    /// callers, and per-client shard-routing callers. SNFS only.
-    fn build_sharded(params: TestbedParams, n_clients: usize) -> Self {
-        let n_shards = params.shards.n;
-        assert!(
-            params.protocol.is_snfs(),
-            "a sharded namespace requires an SNFS protocol (got {:?})",
-            params.protocol
-        );
-        assert!(
-            !params.name_cache,
-            "name caching is not supported over a sharded namespace: \
-             a cached root binding would bypass the layout map"
-        );
-        let sim = Sim::new();
-        let layout = Rc::new(RefCell::new(Layout::new(n_shards as u32)));
-        // ---- per-shard server stacks --------------------------------------
-        let mut shard_fs: Vec<LocalFs> = Vec::new();
-        let mut shard_cpu: Vec<Resource> = Vec::new();
-        let mut shard_counter: Vec<OpCounter> = Vec::new();
-        for s in 0..n_shards {
-            let disk = Disk::with_sched(
-                &sim,
-                format!("server{s}-disk"),
-                config::disk_params(),
-                params.server_io.sched,
-            );
-            let mut fsp = config::server_fs_params(params.update_enabled);
-            fsp.cache_blocks = params.server_io.cache_blocks;
-            fsp.single_flight_reads = params.server_io.single_flight_reads;
-            // Shard s exports fsid s + 1; handle-addressed requests
-            // route on nothing else.
-            let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
-            fs.spawn_update_daemon();
-            shard_fs.push(fs);
-            shard_cpu.push(Resource::new(&sim, format!("server{s}-cpu"), 1));
-            shard_counter.push(OpCounter::new());
-        }
-        let rates = RateSeries::new(config::figure_bucket());
-        let util = GaugeSeries::new();
-        let latency = LatencyStats::new();
-        let netp = if params.transport.switched {
-            config::net_params().switched_full_duplex()
-        } else {
-            config::net_params()
-        };
-        let net = Network::new(&sim, "ether", netp);
-        if params.faults.any() {
-            net.set_faults(params.faults);
-        }
-        let transport_stats = TransportStats::new();
-        let tracer = params.trace.then(|| {
-            let t = Tracer::new(&sim);
-            t.meta("protocol", params.protocol.label());
-            t.meta("clients", n_clients.to_string());
-            t.meta("disk_sched", params.server_io.sched.meta_value());
-            t.meta("shards", n_shards.to_string());
-            for fs in &shard_fs {
-                fs.disk().set_tracer(t.clone());
-                fs.set_tracer(t.clone());
-            }
-            net.set_tracer(t.clone());
-            t
-        });
-        // Well-known directories, each created on the shard that owns
-        // its name under the initial layout.
-        let roots: Vec<FileHandle> = shard_fs.iter().map(|f| f.root()).collect();
-        let mkdir_on = |name: &'static str| {
-            let s = layout.borrow().owner(name) as usize;
-            let fs = shard_fs[s].clone();
-            let root = roots[s];
-            sim.block_on(async move {
-                let (fh, _) = fs.mkdir(root, name).await.expect("mkdir well-known dir");
-                fh
-            })
-        };
-        let src_dir = mkdir_on("src");
-        let target_dir = mkdir_on("target");
-        let tmp_dir = mkdir_on("tmp");
-        // ---- per-shard servers + endpoints --------------------------------
-        let mut ep_params = config::endpoint_params();
-        ep_params.threads = params.server_io.service_threads;
-        let mut shard_hosts: Vec<ShardHost> = Vec::new();
-        for s in 0..n_shards {
-            let mut sp = params.snfs_server;
-            sp.delegation = params.delegation;
-            let srv = SnfsServer::new(
-                &sim,
-                shard_fs[s].clone(),
-                params.server_io.service_threads,
-                sp,
-            );
-            if let Some(t) = &tracer {
-                srv.set_tracer(t.clone());
-            }
-            srv.set_shard(s as u32, roots[s], Rc::clone(&layout));
-            let ep = srv.endpoint(
-                format!("snfsd{s}"),
-                shard_cpu[s].clone(),
-                ep_params,
-                shard_counter[s].clone(),
-            );
-            ep.set_rate_series(rates.clone());
-            if let Some(t) = &tracer {
-                ep.set_tracer(t.clone());
-            }
-            shard_hosts.push(ShardHost {
-                shard: s as u32,
-                cpu: shard_cpu[s].clone(),
-                fs: shard_fs[s].clone(),
-                server: srv,
-                endpoint: ep,
-                counter: shard_counter[s].clone(),
-            });
-        }
-        // ---- inter-shard coordination callers -----------------------------
-        // Coordinator shard s reaches peer p through a dedicated caller
-        // carrying ClientId(10_000 + s); all of s's peer callers share
-        // one xid space. Their fault link is host 200 + s, so a chaos
-        // script can sever one shard's coordination traffic without
-        // touching any client's.
-        for s in 0..n_shards {
-            let mut first: Option<Caller<NfsRequest, NfsReply>> = None;
-            for p in 0..n_shards {
-                if p == s {
-                    continue;
-                }
-                let mut c = Caller::new(
-                    &sim,
-                    net.clone(),
-                    shard_hosts[p].endpoint.clone(),
-                    ClientId(10_000 + s as u32),
-                    shard_cpu[s].clone(),
-                    config::caller_params(),
-                );
-                c.set_fault_link(200 + s as u32, false);
-                if let Some(t) = &tracer {
-                    c.set_tracer(t.clone());
-                }
-                match &first {
-                    Some(f) => c.share_xids_with(f),
-                    None => first = Some(c.clone()),
-                }
-                shard_hosts[s].server.register_peer(p as u32, c);
-            }
-        }
-        // ---- clients ------------------------------------------------------
-        let mut clients = Vec::new();
-        let mut cb_endpoints = Vec::new();
-        for i in 0..n_clients {
-            let cid = ClientId(i as u32 + 1);
-            let cpu = Resource::new(&sim, format!("client{}-cpu", cid.0), 1);
-            let disk = Disk::new(&sim, format!("client{}-disk", cid.0), config::disk_params());
-            let local_fs = LocalFs::new(
-                &sim,
-                100 + cid.0,
-                disk,
-                config::client_fs_params(params.update_enabled),
-            );
-            local_fs.spawn_update_daemon();
-            let lroot = local_fs.root();
-            let ltmp = {
-                let fs = local_fs.clone();
-                sim.block_on(async move {
-                    let (t, _) = fs.mkdir(lroot, "tmp").await.expect("mkdir local tmp");
-                    t
-                })
-            };
-            // One caller per shard, all sharing this client's xid space
-            // so retransmit detection and the per-shard duplicate caches
-            // see one coherent (client, xid) stream.
-            let mut callers: Vec<Caller<NfsRequest, NfsReply>> = Vec::new();
-            for sh in &shard_hosts {
-                let mut c = Caller::new(
-                    &sim,
-                    net.clone(),
-                    sh.endpoint.clone(),
-                    cid,
-                    cpu.clone(),
-                    config::caller_params(),
-                );
-                c.set_transport(params.transport);
-                c.set_transport_stats(transport_stats.clone());
-                c.set_latency_stats(latency.clone());
-                if let Some(t) = &tracer {
-                    c.set_tracer(t.clone());
-                }
-                if let Some(f) = callers.first() {
-                    c.share_xids_with(f);
-                }
-                callers.push(c);
-            }
-            let shard_caller = ShardCaller::sharded(&sim, callers, roots.clone(), true);
-            let client = SnfsClient::new(
-                &sim,
-                shard_caller,
-                SnfsClientParams {
-                    cache_blocks: params.client_cache_blocks,
-                    write_delay: params.snfs_write_delay,
-                    update_interval: params.update_enabled.then(|| SimDuration::from_secs(30)),
-                    read_ahead: params.read_ahead,
-                    read_ahead_window: params.read_ahead_window,
-                    write_behind: params.write_behind,
-                    delayed_close: params.protocol == Protocol::SnfsDelayedClose,
-                    name_cache: params.name_cache,
-                    delegation: params.delegation,
-                    ..SnfsClientParams::default()
-                },
-            );
-            if let Some(t) = &tracer {
-                client.set_tracer(t.clone());
-            }
-            client.spawn_update_daemon();
-            client.spawn_keepalive_daemon(SimDuration::from_secs(10));
-            // One callback endpoint per client, registered with every
-            // shard's server. The per-shard callback callers share one
-            // xid space per client — two shards must never reuse an xid
-            // against the same client's duplicate-request cache.
-            let cb_ep = client.callback_endpoint(
-                format!("cbsrv{}", cid.0),
-                cpu.clone(),
-                config::callback_endpoint_params(),
-                shard_counter[0].clone(),
-            );
-            if let Some(t) = &tracer {
-                cb_ep.set_tracer(t.clone());
-            }
-            cb_endpoints.push(cb_ep.clone());
-            let mut first_cb: Option<
-                Caller<spritely_proto::CallbackArg, spritely_proto::CallbackReply>,
-            > = None;
-            for sh in &shard_hosts {
-                let mut cb_caller = Caller::new(
-                    &sim,
-                    net.clone(),
-                    cb_ep.clone(),
-                    ClientId(0),
-                    sh.cpu.clone(),
-                    config::caller_params(),
-                );
-                cb_caller.set_fault_link(cid.0, true);
-                if let Some(t) = &tracer {
-                    cb_caller.set_tracer(t.clone());
-                }
-                match &first_cb {
-                    Some(f) => cb_caller.share_xids_with(f),
-                    None => first_cb = Some(cb_caller.clone()),
-                }
-                sh.server.register_client(cid, cb_caller);
-            }
-            // ---- mounts ----
-            let backend = FsBackend::Snfs(client.clone());
-            let mut mounts = vec![Mount::new("/", FsBackend::Local(local_fs.clone()), lroot)];
-            mounts.push(Mount::new("/remote", backend.clone(), roots[0]));
-            let tmp_backend = if params.tmp_remote {
-                Mount::new("/usr/tmp", backend.clone(), tmp_dir)
-            } else {
-                Mount::new("/usr/tmp", FsBackend::Local(local_fs.clone()), ltmp)
-            };
-            mounts.push(tmp_backend);
-            let vfs = Vfs::new(mounts);
-            clients.push(ClientHost {
-                cpu,
-                local_fs,
-                remote: RemoteClient::Snfs(client),
-                vfs,
-            });
-        }
-        Testbed {
-            sim,
-            params,
-            server_cpu: shard_cpu[0].clone(),
-            server_fs: shard_fs[0].clone(),
-            snfs_server: Some(shard_hosts[0].server.clone()),
-            counter: shard_counter[0].clone(),
-            rates,
-            latency,
-            util,
-            net,
-            transport_stats,
-            tracer,
-            endpoint: Some(shard_hosts[0].endpoint.clone()),
+            endpoint: endpoints.first().cloned(),
             cb_endpoints,
             clients,
             server_dirs: (src_dir, target_dir, tmp_dir),
             shard_hosts,
-            layout: Some(layout),
+            layout: sharded.then_some(layout),
         }
     }
 
@@ -912,9 +701,24 @@ impl Testbed {
                 }
             })
             .collect();
-        let disk = self.server_fs.disk();
-        let (cache_hits, cache_misses) = self.server_fs.cache_stats();
-        let dstats = disk.stats();
+        // Every server host's counters, summed (peaks: the worst one).
+        let servers = self.servers();
+        let mut server_io = crate::snapshot::ServerIoSnapshot::default();
+        for (fs, _, _) in &servers {
+            let disk = fs.disk();
+            let d = disk.stats();
+            let (hits, misses) = fs.cache_stats();
+            let io = &mut server_io;
+            io.cache_hits += hits;
+            io.cache_misses += misses;
+            io.disk_reads += d.reads;
+            io.disk_writes += d.writes;
+            io.disk_queue_peak = io.disk_queue_peak.max(disk.queue_depth().peak());
+            io.disk_requests += disk.wait_ms().count();
+            io.disk_wait_ms_sum += disk.wait_ms().sum();
+            io.disk_wait_ms_max = io.disk_wait_ms_max.max(disk.wait_ms().max());
+            io.disk_pos_ms_sum += disk.pos_ms().sum();
+        }
         let attr_elisions: u64 = self
             .clients
             .iter()
@@ -925,37 +729,24 @@ impl Testbed {
             })
             .sum();
         let ts = &self.transport_stats;
-        let rpc_total = if self.shard_hosts.is_empty() {
-            self.counter.snapshot().total()
-        } else {
-            self.shard_hosts
-                .iter()
-                .map(|sh| sh.counter.snapshot().total())
-                .sum()
-        };
         crate::snapshot::StatsSnapshot {
             protocol: self.params.protocol.label().to_string(),
-            rpc_total,
+            rpc_total: servers.iter().map(|(_, c, _)| c.snapshot().total()).sum(),
             clients,
-            server: self
-                .snfs_server
-                .as_ref()
-                .map(|srv| crate::snapshot::ServerSnapshot {
-                    stats: srv.stats(),
-                    callback_peak: srv.callback_gauge().peak(),
-                    table_entries: srv.table_len() as u64,
-                }),
-            server_io: crate::snapshot::ServerIoSnapshot {
-                cache_hits,
-                cache_misses,
-                disk_reads: dstats.reads,
-                disk_writes: dstats.writes,
-                disk_queue_peak: disk.queue_depth().peak(),
-                disk_requests: disk.wait_ms().count(),
-                disk_wait_ms_sum: disk.wait_ms().sum(),
-                disk_wait_ms_max: disk.wait_ms().max(),
-                disk_pos_ms_sum: disk.pos_ms().sum(),
-            },
+            server: (!self.shard_hosts.is_empty()).then(|| {
+                let mut srv = crate::snapshot::ServerSnapshot {
+                    stats: Default::default(),
+                    callback_peak: 0,
+                    table_entries: 0,
+                };
+                for sh in &self.shard_hosts {
+                    srv.stats += sh.server.stats();
+                    srv.callback_peak = srv.callback_peak.max(sh.server.callback_gauge().peak());
+                    srv.table_entries += sh.server.table_len() as u64;
+                }
+                srv
+            }),
+            server_io,
             transport: crate::snapshot::TransportSnapshot {
                 net_messages: self.net.messages(),
                 net_bytes: self.net.bytes(),
@@ -970,18 +761,14 @@ impl Testbed {
             sim: self.sim.stats().into(),
             faults: self.net.faults_active().then(|| {
                 let fs = self.net.fault_stats();
-                let (mut dup_cache_hits, mut dup_cache_joins) = self
-                    .endpoint
-                    .as_ref()
-                    .map_or((0, 0), |ep| (ep.dup_hits(), ep.dup_joins()));
-                // Extra shards' endpoints (shard 0 is `self.endpoint`).
-                for sh in self.shard_hosts.iter().skip(1) {
-                    dup_cache_hits += sh.endpoint.dup_hits();
-                    dup_cache_joins += sh.endpoint.dup_joins();
+                // Retransmits replay from the servers' duplicate-request
+                // caches, and retransmitted callbacks (write-back,
+                // invalidate, recall) from the *clients'*; count both.
+                let (mut dup_cache_hits, mut dup_cache_joins) = (0, 0);
+                for ep in servers.iter().filter_map(|(_, _, ep)| *ep) {
+                    dup_cache_hits += ep.dup_hits();
+                    dup_cache_joins += ep.dup_joins();
                 }
-                // Retransmitted callbacks (write-back, invalidate,
-                // recall) are replayed from the *clients'* endpoint
-                // caches; count them too.
                 for ep in &self.cb_endpoints {
                     dup_cache_hits += ep.dup_hits();
                     dup_cache_joins += ep.dup_joins();
@@ -997,16 +784,11 @@ impl Testbed {
                     outstanding_kills: fs.outstanding_kills(),
                     dup_cache_hits,
                     dup_cache_joins,
-                    callback_retries: if self.shard_hosts.is_empty() {
-                        self.snfs_server
-                            .as_ref()
-                            .map_or(0, |srv| srv.callback_retries())
-                    } else {
-                        self.shard_hosts
-                            .iter()
-                            .map(|sh| sh.server.callback_retries())
-                            .sum()
-                    },
+                    callback_retries: self
+                        .shard_hosts
+                        .iter()
+                        .map(|sh| sh.server.callback_retries())
+                        .sum(),
                     callback_dupes: self
                         .clients
                         .iter()
@@ -1022,60 +804,75 @@ impl Testbed {
                 .as_ref()
                 .map(|t| (&spritely_trace::profile_trace(&t.finish())).into()),
             delegation: self.params.delegation.enabled.then(|| {
-                // Server side carries grants/recalls/returns/revokes and
+                // The servers carry grants/recalls/returns/revokes and
                 // the latency histogram; the clients contribute the local
                 // fast-path counters. Merge into one DelegationStats.
-                let mut stats: DelegationStats = self
-                    .snfs_server
-                    .as_ref()
-                    .map(|srv| srv.delegation_stats())
-                    .unwrap_or_default();
+                let mut stats = DelegationStats::default();
+                for sh in &self.shard_hosts {
+                    stats += sh.server.delegation_stats();
+                }
                 let mut held = 0u64;
                 for host in &self.clients {
                     if let RemoteClient::Snfs(c) = &host.remote {
-                        let cs = c.delegation_stats();
-                        stats.local_opens += cs.local_opens;
-                        stats.local_closes += cs.local_closes;
+                        stats += c.delegation_stats();
                         held += c.delegations_held() as u64;
                     }
                 }
                 crate::snapshot::DelegationSnapshot { stats, held }
             }),
-            shards: (!self.shard_hosts.is_empty()).then(|| {
-                let peak_blocks = self
-                    .clients
+            shards: (self.params.shards.n > 1).then(|| crate::snapshot::ShardsSnapshot {
+                n: self.shard_hosts.len() as u64,
+                peak_client_kb: self.peak_client_kb(),
+                shards: self
+                    .shard_hosts
                     .iter()
-                    .map(|host| match &host.remote {
-                        RemoteClient::Snfs(c) => c.peak_cache_blocks(),
-                        _ => 0,
+                    .map(|sh| {
+                        let ops = sh.server.shard_stats();
+                        crate::snapshot::ShardSnapshot {
+                            shard: sh.shard,
+                            rpcs: sh.counter.snapshot().total(),
+                            dup_hits: sh.endpoint.dup_hits(),
+                            table_entries: sh.server.table_len() as u64,
+                            cross_renames: ops.cross_renames,
+                            cross_links: ops.cross_links,
+                            wrong_shard_replies: ops.wrong_shard_replies,
+                            busy_rejections: ops.busy_rejections,
+                            lock_contention: ops.lock_contention,
+                            dup_contention: sh.endpoint.dup_contention(),
+                        }
                     })
-                    .max()
-                    .unwrap_or(0);
-                crate::snapshot::ShardsSnapshot {
-                    n: self.shard_hosts.len() as u64,
-                    peak_client_kb: (peak_blocks * BLOCK_SIZE) as u64 / 1024,
-                    shards: self
-                        .shard_hosts
-                        .iter()
-                        .map(|sh| {
-                            let ops = sh.server.shard_stats();
-                            crate::snapshot::ShardSnapshot {
-                                shard: sh.shard,
-                                rpcs: sh.counter.snapshot().total(),
-                                dup_hits: sh.endpoint.dup_hits(),
-                                table_entries: sh.server.table_len() as u64,
-                                cross_renames: ops.cross_renames,
-                                cross_links: ops.cross_links,
-                                wrong_shard_replies: ops.wrong_shard_replies,
-                                busy_rejections: ops.busy_rejections,
-                                lock_contention: ops.lock_contention,
-                                dup_contention: sh.endpoint.dup_contention(),
-                            }
-                        })
-                        .collect(),
-                }
+                    .collect(),
             }),
         }
+    }
+
+    /// Every server host's exported file system, RPC counter and
+    /// endpoint: one per shard under SNFS, otherwise the lone NFS server
+    /// (or the idle server of the local protocol, which has no endpoint).
+    fn servers(&self) -> Vec<(&LocalFs, &OpCounter, Option<&NfsEndpoint>)> {
+        if self.shard_hosts.is_empty() {
+            vec![(&self.server_fs, &self.counter, self.endpoint.as_ref())]
+        } else {
+            self.shard_hosts
+                .iter()
+                .map(|sh| (&sh.fs, &sh.counter, Some(&sh.endpoint)))
+                .collect()
+        }
+    }
+
+    /// Largest per-client peak data-cache footprint, in KiB (SNFS
+    /// clients; 0 for the other protocols).
+    pub(crate) fn peak_client_kb(&self) -> u64 {
+        let peak_blocks = self
+            .clients
+            .iter()
+            .map(|host| match &host.remote {
+                RemoteClient::Snfs(c) => c.peak_cache_blocks(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        (peak_blocks * BLOCK_SIZE) as u64 / 1024
     }
 
     /// Spawns a sampler recording server CPU utilization once per figure

@@ -6,19 +6,11 @@
 
 use std::process::ExitCode;
 
-use spritely::harness::{report, run_andrew_with, Protocol, TestbedParams};
+use spritely::harness::{report, run_andrew_traced};
 
 fn main() -> ExitCode {
     println!("Running the Andrew benchmark on SNFS with tracing on...\n");
-    let run = run_andrew_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            trace: true,
-            ..TestbedParams::default()
-        },
-        42,
-    );
+    let run = run_andrew_traced(42);
     let trace = run.trace.expect("tracing was enabled");
     println!("{}", report::trace_summary(&trace));
     println!("stats snapshot:\n{}", run.stats.to_json());

@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test perfbench (the benchmark must build against the harness)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -18,9 +18,10 @@
 use std::process::ExitCode;
 
 use spritely::harness::{
-    compare_json, render_matrix, report, run_andrew, run_andrew_with, run_flush_with, run_matrix,
-    run_reopen, run_scaling, run_scaling_with, run_sort_experiment, run_temp_lifetime,
-    CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams, WriteBehindParams,
+    compare_json, render_matrix, report, run_andrew, run_andrew_traced, run_andrew_with,
+    run_flush_with, run_matrix, run_reopen, run_scaling, run_scaling_with, run_sort_experiment,
+    run_temp_lifetime, CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams,
+    WriteBehindParams,
 };
 use spritely::metrics::TextTable;
 use spritely::proto::NfsProc;
@@ -245,19 +246,7 @@ fn matrix(seed: u64, threads: usize) {
 
 fn profile(which: &str, seed: u64) -> ExitCode {
     let (name, trace) = match which {
-        "andrew" => {
-            // The paper's headline configuration: SNFS with /tmp remote.
-            let run = run_andrew_with(
-                TestbedParams {
-                    protocol: Protocol::Snfs,
-                    tmp_remote: true,
-                    trace: true,
-                    ..TestbedParams::default()
-                },
-                seed,
-            );
-            ("andrew_snfs", run.trace)
-        }
+        "andrew" => ("andrew_snfs", run_andrew_traced(seed).trace),
         "andrew-pipelined" => {
             // Same workload with every perf-mode pipeline enabled.
             let run = run_andrew_with(

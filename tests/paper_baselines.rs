@@ -11,13 +11,16 @@
 //!
 //! Each test re-runs the exact run set of the corresponding bench target
 //! (same protocols, sizes, and seed) and compares the rendered artifact —
-//! `"{title}\n{body}\n"`, as `spritely_bench::artifact` writes it —
-//! against the baseline file.
+//! `"{title}\n{body}\n"`, as `spritely_bench::artifact` writes it, or a
+//! raw `stats_*.json` snapshot — against the baseline file. The figure,
+//! flush-latency, transport and traced-Andrew gates also pin the
+//! multi-client and single-server testbed topologies byte for byte.
 
 use std::fs;
 
 use spritely::harness::{
-    report, run_andrew, run_sort_experiment, Protocol, SortRun, Testbed, TestbedParams,
+    report, run_andrew, run_andrew_traced, run_flush_latency, run_sort_experiment,
+    run_transport_comparison, Protocol, SortRun, Testbed, TestbedParams,
 };
 use spritely::trace::EventKind;
 use spritely::vfs::OpenFlags;
@@ -198,5 +201,88 @@ fn paper_mode_sort_tables_match_baselines() {
         ),
         baseline("table_5_6.txt"),
         "table 5-6 drifted from its baseline in paper mode"
+    );
+}
+
+#[test]
+fn paper_mode_figures_match_baselines() {
+    // The run sets of benches/figure_5_1.rs and figure_5_2.rs.
+    for (protocol, title, file) in [
+        (
+            Protocol::Nfs,
+            "Figure 5-1: server utilization and call rates for NFS (CSV)",
+            "figure_5_1.txt",
+        ),
+        (
+            Protocol::Snfs,
+            "Figure 5-2: server utilization and call rates for SNFS (CSV)",
+            "figure_5_2.txt",
+        ),
+    ] {
+        let run = run_andrew(protocol, true, 42);
+        assert_eq!(
+            rendered(title, &report::figure_series(&run)),
+            baseline(file),
+            "{file} drifted from its baseline"
+        );
+    }
+}
+
+#[test]
+fn traced_andrew_stats_and_trace_summary_match_baselines() {
+    // The traced run of benches/table_5_2.rs. Its snapshot pins the
+    // single-server JSON exactly, down to the absent `shards` section.
+    let run = run_andrew_traced(42);
+    assert_eq!(
+        run.stats.to_json(),
+        baseline("stats_andrew_snfs.json"),
+        "stats_andrew_snfs.json drifted from its baseline"
+    );
+    assert_eq!(
+        rendered(
+            "Trace summary: Andrew on SNFS (/tmp remote, seed 42)",
+            &report::trace_summary(run.trace.as_ref().expect("tracing on"))
+        ),
+        baseline("trace_summary.txt"),
+        "trace_summary.txt drifted from its baseline"
+    );
+}
+
+#[test]
+fn flush_latency_matches_baselines() {
+    // The run set of benches/flush_latency.rs.
+    let exp = run_flush_latency(64);
+    assert_eq!(
+        rendered(
+            "Flush latency: 64-block write-back, serial vs gathered+pipelined",
+            &exp.report()
+        ),
+        baseline("flush_latency.txt"),
+        "flush_latency.txt drifted from its baseline"
+    );
+    assert_eq!(
+        exp.traced.stats.to_json(),
+        baseline("stats_flush_pipelined.json"),
+        "stats_flush_pipelined.json drifted from its baseline"
+    );
+}
+
+#[test]
+fn rpc_transport_matches_baselines() {
+    // The run set of benches/rpc_transport.rs: Andrew on one client and
+    // an 8-client shared read, each on both transports.
+    let cmp = run_transport_comparison(42);
+    assert_eq!(
+        rendered(
+            "RPC transport: paper vs pipelined transport (Andrew + 8-client scaling, seed 42)",
+            &cmp.report()
+        ),
+        baseline("rpc_transport.txt"),
+        "rpc_transport.txt drifted from its baseline"
+    );
+    assert_eq!(
+        cmp.scale8_pipe.tb.stats_snapshot().to_json(),
+        baseline("stats_rpc_transport.json"),
+        "stats_rpc_transport.json drifted from its baseline"
     );
 }

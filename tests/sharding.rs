@@ -7,6 +7,8 @@ use spritely::harness::{FaultParams, Protocol, RemoteClient, ShardParams, Testbe
 use spritely::proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
 use spritely::snfs::SnfsClient;
+use spritely::trace::EventKind;
+use spritely::vfs::OpenFlags;
 
 fn sharded(n: usize, n_clients: usize, trace: bool, faults: FaultParams) -> Testbed {
     Testbed::build_with_clients(
@@ -295,19 +297,128 @@ fn chaos_shard_partition_mid_rename_converges() {
 
 #[test]
 fn shards_section_absent_in_paper_configuration() {
-    // ShardParams::paper() takes the unsharded build path: no shard
-    // hosts, no layout, and a snapshot byte-identical to one from
-    // before sharding existed.
+    // ShardParams::paper() is the one-shard layout: exactly one SNFS
+    // shard host, and none of the outputs only a sharded run has — no
+    // `shards` snapshot section, no `shards` trace meta, and no
+    // ShardRoute records even for root-level name operations.
     let tb = Testbed::build(TestbedParams {
         protocol: Protocol::Snfs,
         shards: ShardParams::paper(),
+        trace: true,
         ..TestbedParams::default()
     });
-    assert!(tb.shard_hosts.is_empty());
-    assert!(tb.layout.is_none());
+    assert_eq!(tb.shard_hosts.len(), 1);
+    let p = tb.proc();
+    let h = tb.sim.spawn(async move {
+        p.mkdir("/remote/d").await.expect("mkdir");
+        let fd = p
+            .open("/remote/f", OpenFlags::create_write())
+            .await
+            .expect("create");
+        p.write(fd, b"x").await.expect("write");
+        p.fsync(fd).await.expect("fsync");
+        p.close(fd).await.expect("close");
+        p.rename("/remote/f", "/remote/g").await.expect("rename");
+    });
+    tb.sim.run_until(h);
     let json = tb.stats_snapshot().to_json();
     assert!(!json.contains("\"shards\""), "{json}");
+    let trace = tb.finish_trace().expect("tracing on");
+    assert!(trace.ok(), "violations: {:?}", trace.violations);
+    let mut server_disk_events = 0;
+    for e in &trace.events {
+        assert!(
+            !matches!(
+                e.kind,
+                EventKind::ShardRoute { .. } | EventKind::Meta { key: "shards", .. }
+            ),
+            "paper mode emitted a sharded-only trace record: {:?}",
+            e.kind
+        );
+        // Host names stay the paper testbed's, never shard-numbered.
+        if let EventKind::DiskQueue { disk, .. } = &e.kind {
+            if disk.starts_with("server") {
+                assert_eq!(disk, "server-disk");
+                server_disk_events += 1;
+            }
+        }
+    }
+    assert!(server_disk_events > 0, "the fsync reached no server disk");
     let tb2 = sharded(2, 1, false, FaultParams::default());
     let json2 = tb2.stats_snapshot().to_json();
     assert!(json2.contains("\"shards\":{\"n\":2"), "{json2}");
+}
+
+#[test]
+#[should_panic(expected = "need at least one shard")]
+fn zero_shards_are_rejected() {
+    Testbed::build(TestbedParams {
+        shards: ShardParams { n: 0 },
+        ..TestbedParams::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "a sharded namespace requires an SNFS protocol")]
+fn sharded_nfs_is_rejected() {
+    Testbed::build(TestbedParams {
+        protocol: Protocol::Nfs,
+        shards: ShardParams::sharded(2),
+        ..TestbedParams::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "name caching is not supported over a sharded namespace")]
+fn sharded_name_cache_is_rejected() {
+    Testbed::build(TestbedParams {
+        protocol: Protocol::Snfs,
+        shards: ShardParams::sharded(2),
+        name_cache: true,
+        ..TestbedParams::default()
+    });
+}
+
+#[test]
+fn snapshot_sums_server_io_over_every_shard() {
+    // Every shard's disk takes writes; the snapshot's server_io section
+    // is their sum, not shard 0's alone.
+    let tb = sharded(2, 1, false, FaultParams::default());
+    let p = tb.proc();
+    let names: Vec<String> = (0..2).map(|s| name_on(2, s, "w")).collect();
+    let h = tb.sim.spawn(async move {
+        for name in names {
+            let fd = p
+                .open(&format!("/remote/{name}"), OpenFlags::create_write())
+                .await
+                .expect("create");
+            p.write(fd, &[7u8; 4 * BLOCK_SIZE]).await.expect("write");
+            p.fsync(fd).await.expect("fsync");
+            p.close(fd).await.expect("close");
+        }
+    });
+    tb.sim.run_until(h);
+    let per_shard: Vec<u64> = tb
+        .shard_hosts
+        .iter()
+        .map(|sh| sh.fs.disk().stats().writes)
+        .collect();
+    assert!(per_shard.iter().all(|&w| w > 0), "{per_shard:?}");
+    let snap = tb.stats_snapshot();
+    assert_eq!(snap.server_io.disk_writes, per_shard.iter().sum::<u64>());
+    let reads: u64 = tb
+        .shard_hosts
+        .iter()
+        .map(|sh| sh.fs.disk().stats().reads)
+        .sum();
+    assert_eq!(snap.server_io.disk_reads, reads);
+}
+
+#[test]
+fn one_shard_scaling_row_reports_peak_client_cache() {
+    // The 1 × 128 row of the sharded scaling table: the peak client
+    // cache comes from the clients, whatever the shard count.
+    let one = spritely::harness::run_scaling_shards(1, 128, 42);
+    assert!(one.peak_client_kb > 0, "1-shard peak client cache is 0 KiB");
+    assert!(one.stats.shards.is_none());
 }
