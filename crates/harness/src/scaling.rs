@@ -108,23 +108,7 @@ pub fn run_scaling_with(params: TestbedParams, n_clients: usize, seed: u64) -> S
             .sim
             .spawn(async move { sim.sleep(SimDuration::from_secs(65)).await });
         tb.sim.run_until(h);
-        for host in &tb.clients {
-            match host.remote.clone() {
-                crate::RemoteClient::None => {}
-                crate::RemoteClient::Nfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-                crate::RemoteClient::Snfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-            }
-        }
+        tb.cold_boot_clients();
     }
     // Measured run: all clients at once.
     let t0 = tb.sim.now();

@@ -659,6 +659,23 @@ impl Testbed {
         self.clients[0].proc(&self.sim)
     }
 
+    /// Cold-boots every remote client in turn (empties its cache), so
+    /// the measured phase that follows starts cold.
+    pub fn cold_boot_clients(&self) {
+        for host in &self.clients {
+            let h = match host.remote.clone() {
+                RemoteClient::None => continue,
+                RemoteClient::Nfs(c) => self.sim.spawn(async move {
+                    c.cold_boot().await.expect("cold boot");
+                }),
+                RemoteClient::Snfs(c) => self.sim.spawn(async move {
+                    c.cold_boot().await.expect("cold boot");
+                }),
+            };
+            self.sim.run_until(h);
+        }
+    }
+
     /// Finishes the trace (if tracing was on) and runs the invariant
     /// checker over it. Runners call this at the end of a run.
     pub fn finish_trace(&self) -> Option<crate::snapshot::TraceReport> {

@@ -25,7 +25,7 @@ use spritely_vfs::OpenFlags;
 
 use crate::andrew::{run_andrew_with, AndrewRun};
 use crate::report;
-use crate::testbed::{Protocol, RemoteClient, Testbed, TestbedParams};
+use crate::testbed::{Protocol, Testbed, TestbedParams};
 
 fn andrew_params(t: TransportParams) -> TestbedParams {
     TestbedParams {
@@ -79,23 +79,7 @@ pub fn run_data_scaling(t: TransportParams, n: usize, trace: bool) -> DataScalin
             sim.sleep(SimDuration::from_secs(65)).await;
         });
         tb.sim.run_until(h);
-        for host in &tb.clients {
-            match host.remote.clone() {
-                RemoteClient::None => {}
-                RemoteClient::Nfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-                RemoteClient::Snfs(c) => {
-                    let h = tb.sim.spawn(async move {
-                        c.cold_boot().await.expect("cold boot");
-                    });
-                    tb.sim.run_until(h);
-                }
-            }
-        }
+        tb.cold_boot_clients();
     }
     let t0 = tb.sim.now();
     let m0 = tb.net.messages();

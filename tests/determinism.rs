@@ -3,7 +3,7 @@
 //! reproduction auditable — any observed difference between two configs
 //! is caused by the config, not by scheduling noise.
 
-use spritely::harness::{run_sort_experiment, run_temp_lifetime, Protocol};
+use spritely::harness::{run_scaling_shards, run_sort_experiment, run_temp_lifetime, Protocol};
 use spritely::sim::SimDuration;
 
 #[test]
@@ -24,6 +24,14 @@ fn temp_lifetime_runs_are_bit_identical() {
         r.write_rpcs
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn sharded_scaling_runs_are_bit_identical() {
+    let a = run_scaling_shards(4, 32, 42);
+    let b = run_scaling_shards(4, 32, 42);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.stats.to_json(), b.stats.to_json());
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Shape assertions for the paper's headline results: who wins, by
 //! roughly what factor, and where the crossovers fall. Absolute numbers
 //! are our simulator's, not the authors' testbed's; these tests pin the
-//! *relationships* the paper reports.
+//! *relationships* the paper reports, and the ones the opt-in
+//! pipelines promise over the paper configuration.
 
 use spritely::harness::{run_andrew, run_sort_experiment, run_temp_lifetime, Protocol};
 use spritely::proto::NfsProc;
@@ -201,5 +202,30 @@ fn server_capacity_gap_grows_with_clients() {
     assert!(
         four > 1.3,
         "multi-client speedup is substantial: {four:.2}x"
+    );
+}
+
+/// The 4-client shared-file read (read-ahead window 8, so background
+/// fetches batch into compounds): the pipelined transport cuts both
+/// wire messages and makespan, and its trace passes the
+/// batch-conservation and at-most-once checker rules.
+#[test]
+fn pipelined_transport_beats_paper_on_four_client_data_scaling() {
+    use spritely::harness::{run_data_scaling, TransportParams};
+    let paper = run_data_scaling(TransportParams::paper(), 4, false);
+    let piped = run_data_scaling(TransportParams::pipelined(), 4, true);
+    let report = piped.tb.finish_trace().expect("trace was on");
+    assert!(report.ok(), "checker violations: {:?}", report.violations);
+    assert!(
+        piped.messages < paper.messages,
+        "pipelined transport did not reduce wire messages: {} vs {}",
+        piped.messages,
+        paper.messages
+    );
+    assert!(
+        piped.makespan_s < paper.makespan_s,
+        "pipelined transport is not faster: {:.2} s vs {:.2} s",
+        piped.makespan_s,
+        paper.makespan_s
     );
 }

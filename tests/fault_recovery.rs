@@ -2,11 +2,12 @@
 //! exposed: callback retries across partitions (a partitioned client is
 //! not a crashed client), retransmit-outcome mapping for non-idempotent
 //! procedures after dup-cache loss, and idempotent handling of
-//! duplicated server→client callbacks.
+//! duplicated server→client callbacks — plus the packaged chaos
+//! workloads, which must converge under a seeded fault schedule.
 
 use spritely::harness::{
-    report, DelegationParams, PartitionDir, Protocol, RemoteClient, SnfsServerParams, Testbed,
-    TestbedParams,
+    chaos_andrew, chaos_delegation, chaos_write_sharing, report, DelegationParams, PartitionDir,
+    Protocol, RemoteClient, SnfsServerParams, Testbed, TestbedParams,
 };
 use spritely::proto::BLOCK_SIZE;
 use spritely::sim::SimDuration;
@@ -460,4 +461,21 @@ fn revoke_after_timeout_fences_the_dead_holder() {
         "checker violations:\n{}",
         report::trace_summary(&trace)
     );
+}
+
+/// The chaos schedule (5% request loss, 3% duplication, 5% extra delay,
+/// 2% reply loss, plus a scripted partition/heal cycle in the sharing
+/// and delegation workloads) must inject faults into each workload, and
+/// each faulted run must converge to the fault-free server contents
+/// with a clean trace and every injected fault accounted for.
+#[test]
+fn chaos_workloads_inject_faults_and_converge() {
+    for v in [
+        chaos_write_sharing(11),
+        chaos_delegation(13),
+        chaos_andrew(7),
+    ] {
+        assert!(v.injected() > 0, "{}: nothing injected", v.workload);
+        assert!(v.converged(), "did not converge:\n{}", v.report());
+    }
 }

@@ -14,7 +14,8 @@
 //! `"{title}\n{body}\n"`, as `spritely_bench::artifact` writes it, or a
 //! raw `stats_*.json` snapshot — against the baseline file. The figure,
 //! flush-latency, transport and traced-Andrew gates also pin the
-//! multi-client and single-server testbed topologies byte for byte.
+//! multi-client and single-server testbed topologies byte for byte, and
+//! the traced-Andrew gate pins the latency profile snapshot too.
 
 use std::fs;
 
@@ -22,7 +23,7 @@ use spritely::harness::{
     report, run_andrew, run_andrew_traced, run_flush_latency, run_sort_experiment,
     run_transport_comparison, Protocol, SortRun, Testbed, TestbedParams,
 };
-use spritely::trace::EventKind;
+use spritely::trace::{profile_trace, EventKind};
 use spritely::vfs::OpenFlags;
 
 fn baseline(name: &str) -> String {
@@ -238,13 +239,21 @@ fn traced_andrew_stats_and_trace_summary_match_baselines() {
         baseline("stats_andrew_snfs.json"),
         "stats_andrew_snfs.json drifted from its baseline"
     );
+    let trace = run.trace.as_ref().expect("tracing on");
+    assert!(trace.ok(), "checker violations: {:?}", trace.violations);
     assert_eq!(
         rendered(
             "Trace summary: Andrew on SNFS (/tmp remote, seed 42)",
-            &report::trace_summary(run.trace.as_ref().expect("tracing on"))
+            &report::trace_summary(trace)
         ),
         baseline("trace_summary.txt"),
         "trace_summary.txt drifted from its baseline"
+    );
+    // The snapshot `spritely profile andrew` writes, exactly.
+    assert_eq!(
+        profile_trace(&trace.events).to_json(),
+        baseline("profile_andrew_snfs.json"),
+        "profile_andrew_snfs.json drifted from its baseline"
     );
 }
 

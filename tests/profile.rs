@@ -6,7 +6,7 @@ use spritely::harness::{
     compare_json, run_andrew_with, run_flush_with, run_scaling_with, AndrewRun, CompareOptions,
     DelegationParams, Protocol, ServerIoParams, Testbed, TestbedParams, WriteBehindParams,
 };
-use spritely::trace::{profile_trace, EventKind};
+use spritely::trace::{profile_trace, EventKind, Phase};
 use spritely::vfs::OpenFlags;
 
 fn andrew(trace: bool) -> AndrewRun {
@@ -53,6 +53,17 @@ fn every_rpc_claimed_once_and_phases_partition_each_span() {
         p.attributed_fraction() >= 0.99,
         "Andrew attribution below 99%: {:.4}",
         p.attributed_fraction()
+    );
+    // A remote-mount run with no wire, disk or client-local time means
+    // the span reconstruction broke.
+    assert!(p.phase_total(Phase::Net) > 0, "network phase is zero");
+    assert!(
+        p.phase_total(Phase::DiskQueue) + p.phase_total(Phase::DiskService) > 0,
+        "disk phases are zero"
+    );
+    assert!(
+        p.phase_total(Phase::CacheLocal) > 0,
+        "cache-local phase is zero"
     );
 }
 
@@ -118,26 +129,41 @@ fn recall_rpcs_are_claimed_by_the_profiler() {
     );
 }
 
+/// The traced 4-client SNFS scaling run on the pipelined server I/O
+/// (C-LOOK arm, server block cache, wider admission): its profile is
+/// fully attributed, its trace passes the checker (disk-queue/reorder
+/// rule included), and it beats the paper's FIFO server on makespan.
 #[test]
 fn scaling_run_attribution_is_above_99_percent() {
-    let run = run_scaling_with(
-        TestbedParams {
-            protocol: Protocol::Snfs,
-            tmp_remote: true,
-            server_io: ServerIoParams::pipelined(),
-            trace: true,
-            ..TestbedParams::default()
-        },
-        4,
-        42,
-    );
+    let scaling = |server_io: ServerIoParams, trace: bool| {
+        run_scaling_with(
+            TestbedParams {
+                protocol: Protocol::Snfs,
+                tmp_remote: true,
+                server_io,
+                trace,
+                ..TestbedParams::default()
+            },
+            4,
+            42,
+        )
+    };
+    let run = scaling(ServerIoParams::pipelined(), true);
     let trace = run.trace.as_ref().expect("tracing was on");
+    assert!(trace.ok(), "checker violations: {:?}", trace.violations);
     let p = profile_trace(&trace.events);
     assert_eq!(p.claims.total(), p.total_rpcs);
     assert!(
         p.attributed_fraction() >= 0.99,
         "scaling attribution below 99%: {:.4}",
         p.attributed_fraction()
+    );
+    let paper = scaling(ServerIoParams::paper(), false);
+    assert!(
+        run.makespan < paper.makespan,
+        "pipelined server I/O ({}) is not faster than the paper server ({})",
+        run.makespan,
+        paper.makespan
     );
 }
 

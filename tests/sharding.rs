@@ -421,4 +421,13 @@ fn one_shard_scaling_row_reports_peak_client_cache() {
     let one = spritely::harness::run_scaling_shards(1, 128, 42);
     assert!(one.peak_client_kb > 0, "1-shard peak client cache is 0 KiB");
     assert!(one.stats.shards.is_none());
+    // The 8 × 128 row clears 1.5× the one-server throughput on the same
+    // shared-nothing workload (the real curve is steeper; see
+    // BENCH_scaling.json).
+    let eight = spritely::harness::run_scaling_shards(8, 128, 42);
+    let speedup = eight.throughput / one.throughput;
+    assert!(
+        speedup >= 1.5,
+        "sharding speedup {speedup:.2}x below the 1.5x gate"
+    );
 }
