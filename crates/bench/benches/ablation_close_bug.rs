@@ -4,7 +4,7 @@
 //! requires.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
+use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
 use spritely_harness::{run_sort_experiment, Protocol};
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;
@@ -29,7 +29,8 @@ fn bench(c: &mut Criterion) {
             r.ops.get(NfsProc::Read).to_string(),
         ));
     }
-    artifact(
+    artifact_named(
+        "ablation_close_bug",
         "Ablation: invalidate-on-close bug (sort 1408 KB)",
         &t.render(),
     );

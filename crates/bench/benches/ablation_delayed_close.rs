@@ -3,7 +3,7 @@
 //! of those opens into local operations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
+use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
 use spritely_harness::{run_andrew, Protocol};
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;
@@ -29,7 +29,11 @@ fn bench(c: &mut Criterion) {
             r.ops_with_tail.total().to_string(),
         ));
     }
-    artifact("Ablation: delayed close (Andrew, /tmp local)", &t.render());
+    artifact_named(
+        "ablation_delayed_close",
+        "Ablation: delayed close (Andrew, /tmp local)",
+        &t.render(),
+    );
     bench_ledger("ablation_delayed_close", &ledger);
     let mut g = c.benchmark_group("ablation_delayed_close");
     g.bench_function("andrew_snfs_delayed_close", |b| {

@@ -8,41 +8,20 @@
 //! them too, but with a stale-name window.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
-use spritely_harness::{run_andrew_with, Protocol, TestbedParams};
-use spritely_metrics::TextTable;
-use spritely_proto::NfsProc;
+use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
+use spritely_harness::{run_andrew_with, run_name_cache_ablation, Protocol, TestbedParams};
 
 fn bench(c: &mut Criterion) {
-    let mut t = TextTable::new(vec!["variant", "total s", "lookups", "total ops"]);
-    let mut ledger = Vec::new();
-    for (label, protocol, name_cache) in [
-        ("NFS", Protocol::Nfs, false),
-        ("NFS + dnlc", Protocol::Nfs, true),
-        ("SNFS", Protocol::Snfs, false),
-        ("SNFS + name cache", Protocol::Snfs, true),
-    ] {
-        let r = run_andrew_with(
-            TestbedParams {
-                protocol,
-                tmp_remote: true,
-                name_cache,
-                ..TestbedParams::default()
-            },
-            42,
-        );
-        t.row(vec![
-            label.to_string(),
-            format!("{:.0}", r.times.total().as_secs_f64()),
-            r.ops_with_tail.get(NfsProc::Lookup).to_string(),
-            r.ops_with_tail.total().to_string(),
-        ]);
-        ledger.push((
-            format!("{}_lookups", slug_of(label)),
-            r.ops_with_tail.get(NfsProc::Lookup).to_string(),
-        ));
-    }
-    artifact("Ablation: name caching (Andrew, /tmp remote)", &t.render());
+    let (table, lookups) = run_name_cache_ablation();
+    artifact_named(
+        "ablation_name_cache",
+        "Ablation: name caching (Andrew, /tmp remote)",
+        &table,
+    );
+    let ledger: Vec<(String, String)> = lookups
+        .iter()
+        .map(|(label, n)| (format!("{}_lookups", slug_of(label)), n.to_string()))
+        .collect();
     bench_ledger("ablation_name_cache", &ledger);
     let mut g = c.benchmark_group("ablation_name_cache");
     g.bench_function("andrew_snfs_name_cache", |b| {

@@ -3,39 +3,21 @@
 //! window; longer floors trade consistency for RPCs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config};
-use spritely_harness::{run_andrew_with, Protocol, TestbedParams};
-use spritely_metrics::TextTable;
-use spritely_proto::NfsProc;
+use spritely_bench::{artifact_named, bench_ledger, config};
+use spritely_harness::{run_andrew_with, run_probe_interval_ablation, Protocol, TestbedParams};
 use spritely_sim::SimDuration;
 
 fn bench(c: &mut Criterion) {
-    let mut t = TextTable::new(vec!["probe floor", "total s", "getattr RPCs"]);
-    let mut ledger = Vec::new();
-    for secs in [1u64, 3, 10, 60] {
-        let r = run_andrew_with(
-            TestbedParams {
-                protocol: Protocol::Nfs,
-                tmp_remote: true,
-                nfs_attr_min: SimDuration::from_secs(secs),
-                ..TestbedParams::default()
-            },
-            42,
-        );
-        t.row(vec![
-            format!("{secs} s"),
-            format!("{:.0}", r.times.total().as_secs_f64()),
-            r.ops_with_tail.get(NfsProc::GetAttr).to_string(),
-        ]);
-        ledger.push((
-            format!("probe_{secs}s_getattrs"),
-            r.ops_with_tail.get(NfsProc::GetAttr).to_string(),
-        ));
-    }
-    artifact(
+    let (table, getattrs) = run_probe_interval_ablation();
+    artifact_named(
+        "ablation_probe_interval",
         "Ablation: NFS attribute-probe interval (Andrew)",
-        &t.render(),
+        &table,
     );
+    let ledger: Vec<(String, String)> = getattrs
+        .iter()
+        .map(|(secs, n)| (format!("probe_{secs}s_getattrs"), n.to_string()))
+        .collect();
     bench_ledger("ablation_probe_interval", &ledger);
     let mut g = c.benchmark_group("ablation_probe_interval");
     g.bench_function("andrew_nfs_probe_1s", |b| {

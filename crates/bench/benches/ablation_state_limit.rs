@@ -4,7 +4,7 @@
 //! the paper sized it) never reclaims on this workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config};
+use spritely_bench::{artifact_named, bench_ledger, config};
 use spritely_harness::{Protocol, RemoteClient, SnfsServerParams, Testbed, TestbedParams};
 use spritely_metrics::TextTable;
 use spritely_sim::SimDuration;
@@ -72,7 +72,8 @@ fn bench(c: &mut Criterion) {
         ledger.push((format!("limit_{limit}_reclaims"), passes.to_string()));
         ledger.push((format!("limit_{limit}_callbacks"), callbacks.to_string()));
     }
-    artifact(
+    artifact_named(
+        "ablation_state_limit",
         "Ablation: state-table limit under 256-file churn",
         &t.render(),
     );

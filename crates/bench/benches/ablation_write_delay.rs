@@ -4,7 +4,7 @@
 //! benchmark responds directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
+use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
 use spritely_harness::{run_sort_with, Protocol, TestbedParams};
 use spritely_metrics::TextTable;
 use spritely_proto::NfsProc;
@@ -54,7 +54,8 @@ fn bench(c: &mut Criterion) {
             r.ops.get(NfsProc::Write).to_string(),
         ));
     }
-    artifact(
+    artifact_named(
+        "ablation_write_delay",
         "Ablation: SNFS write-delay policy (sort 2816 KB)",
         &t.render(),
     );

@@ -45,11 +45,15 @@ pub fn slug_of(title: &str) -> String {
 /// Prints a titled artifact block and mirrors it to
 /// `artifacts/<slug>.txt` so runs leave a diffable record.
 pub fn artifact(title: &str, body: &str) {
+    artifact_named(&slug_of(title), title, body);
+}
+
+/// [`artifact`] under an explicit file stem, for benches whose titles
+/// share a slug (every "Ablation: …" title would land in
+/// `ablation.txt`); they use their ledger name instead.
+pub fn artifact_named(name: &str, title: &str, body: &str) {
     println!("\n================ {title} ================\n{body}");
-    artifact_file(
-        &format!("{}.txt", slug_of(title)),
-        &format!("{title}\n{body}\n"),
-    );
+    artifact_file(&format!("{name}.txt"), &format!("{title}\n{body}\n"));
 }
 
 /// Writes an auxiliary artifact (trace JSONL, Chrome trace JSON, stats

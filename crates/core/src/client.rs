@@ -32,30 +32,35 @@ use spritely_rpcnet::{Endpoint, EndpointParams, RpcError, ShardCaller};
 use spritely_sim::{Event, Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats};
+use crate::delegation::{DelegationParams, DelegationStats, LEASE};
+
+/// Write-behind flush daemons: how many planned runs may be staged at
+/// once (Ultrix ran 4 biods per client).
+const WRITE_BEHIND_POOL: usize = 4;
+
+/// How long a delayed close (§6.2) lingers before being reported
+/// spontaneously.
+pub(crate) const DELAYED_CLOSE_TIMEOUT: SimDuration = SimDuration::from_secs(180);
 
 /// Configuration of the client's write-behind pool (the Ultrix biod
-/// analogue): how dirty blocks travel back to the server.
+/// analogue): how dirty blocks travel back to the server. A closed
+/// choice of two presets.
 ///
-/// The defaults are **paper-faithful**: one block per `write` RPC and one
+/// The default is **paper-faithful**: one block per `write` RPC and one
 /// RPC in flight, which is exactly the serial flush the paper's SNFS
 /// client performs — table 5-x RPC counts are unchanged. Perf-mode runs
 /// enable gathering and pipelining via [`pipelined`](Self::pipelined).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteBehindParams {
-    /// Flush daemons: how many planned runs may be staged at once
-    /// (Ultrix ran 4 biods per client).
-    pub pool: usize,
     /// Maximum contiguous dirty blocks gathered into one `write` RPC.
-    pub gather_blocks: usize,
+    pub(crate) gather_blocks: usize,
     /// Maximum write-back RPCs in flight concurrently.
-    pub max_inflight: usize,
+    pub(crate) max_inflight: usize,
 }
 
 impl Default for WriteBehindParams {
     fn default() -> Self {
         WriteBehindParams {
-            pool: 4,
             gather_blocks: 1,
             max_inflight: 1,
         }
@@ -71,7 +76,6 @@ impl WriteBehindParams {
     /// same reason BSD gathered writes up to a track before issuing).
     pub fn pipelined() -> Self {
         WriteBehindParams {
-            pool: 4,
             gather_blocks: 16,
             max_inflight: 2,
         }
@@ -98,9 +102,6 @@ pub struct SnfsClientParams {
     pub write_behind: WriteBehindParams,
     /// §6.2 extension: hold back `close` RPCs anticipating a reopen.
     pub delayed_close: bool,
-    /// How long a delayed close lingers before being reported
-    /// spontaneously.
-    pub delayed_close_timeout: SimDuration,
     /// §7 extension: cache name translations, kept consistent by
     /// directory invalidate callbacks from the server. Lookups were half
     /// of all RPCs in the paper's Table 5-2; this removes most of them
@@ -125,7 +126,6 @@ impl Default for SnfsClientParams {
             read_ahead_window: 1,
             write_behind: WriteBehindParams::default(),
             delayed_close: false,
-            delayed_close_timeout: SimDuration::from_secs(180),
             name_cache: false,
             delegation: DelegationParams::paper(),
         }
@@ -281,12 +281,6 @@ impl SnfsClient {
     pub fn new(sim: &Sim, caller: impl Into<ShardCaller>, params: SnfsClientParams) -> Self {
         let caller = caller.into();
         let id = caller.client_id();
-        let wb = params.write_behind;
-        assert!(
-            wb.pool > 0,
-            "write-behind pool must have at least one daemon"
-        );
-        assert!(wb.max_inflight > 0, "need at least one in-flight write");
         SnfsClient {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -299,8 +293,8 @@ impl SnfsClient {
                 stats: Cell::new(ClientStats::default()),
                 known_epoch: Cell::new(0),
                 names: RefCell::new(HashMap::new()),
-                flush_slots: Semaphore::new(wb.pool),
-                flush_inflight: Semaphore::new(wb.max_inflight),
+                flush_slots: Semaphore::new(WRITE_BEHIND_POOL),
+                flush_inflight: Semaphore::new(params.write_behind.max_inflight),
                 gather_hist: Histogram::new(),
                 inflight_gauge: InflightGauge::new(),
                 evictions: RefCell::new(HashMap::new()),
@@ -376,7 +370,7 @@ impl SnfsClient {
             .sim
             .now()
             .saturating_duration_since(self.inner.last_contact.get());
-        age < self.inner.params.delegation.lease
+        age < LEASE
     }
 
     /// True when a live delegation on `fh` may serve local state: it has
@@ -811,9 +805,8 @@ impl SnfsClient {
     /// §6.2: after a timeout, report a still-pending close spontaneously.
     fn schedule_spontaneous_close(&self, fh: FileHandle) {
         let this = self.clone();
-        let delay = self.inner.params.delayed_close_timeout;
         self.inner.sim.spawn(async move {
-            this.inner.sim.sleep(delay).await;
+            this.inner.sim.sleep(DELAYED_CLOSE_TIMEOUT).await;
             let _ = this.flush_pending_close(fh).await;
         });
     }

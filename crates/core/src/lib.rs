@@ -33,10 +33,8 @@ mod server;
 pub mod state_table;
 
 pub use client::{ClientStats, SnfsClient, SnfsClientParams, WriteBehindParams};
-pub use delegation::{DelegationParams, DelegationStats, RecallHistogram};
-pub use server::{
-    ServerIoParams, ServerStats, ShardOpStats, ShardView, SnfsServer, SnfsServerParams,
-};
+pub use delegation::{DelegationParams, DelegationStats, RecallHistogram, LEASE, RECALL_TIMEOUT};
+pub use server::{ServerStats, ShardOpStats, ShardView, SnfsServer, SnfsServerParams};
 pub use state_table::{
     CallbackNeeded, ClientOpens, Deleg, FileState, OpenOutcome, ReclaimOutcome, StateTable,
 };
@@ -44,6 +42,7 @@ pub use state_table::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::DELAYED_CLOSE_TIMEOUT;
     use spritely_blockdev::{Disk, DiskParams};
     use spritely_localfs::{FsParams, LocalFs};
     use spritely_metrics::OpCounter;
@@ -79,7 +78,7 @@ mod tests {
                     ..FsParams::default()
                 },
             );
-            let server = SnfsServer::new(&sim, fs, SERVER_THREADS, sp);
+            let server = SnfsServer::new(&sim, fs, SERVER_THREADS, DelegationParams::paper(), sp);
             let server_cpu = Resource::new(&sim, "scpu", 1);
             let counter = OpCounter::new();
             let endpoint = server.endpoint(
@@ -384,7 +383,6 @@ mod tests {
             1,
             SnfsClientParams {
                 delayed_close: true,
-                delayed_close_timeout: SimDuration::from_secs(60),
                 ..SnfsClientParams::default()
             },
         );
@@ -400,7 +398,8 @@ mod tests {
                 c.close(fh, false).await.unwrap();
                 assert_eq!(counter.get(NfsProc::Close), 0);
                 assert_eq!(server.state_of(fh), FileState::OneReader);
-                sim.sleep(SimDuration::from_secs(61)).await;
+                sim.sleep(DELAYED_CLOSE_TIMEOUT + SimDuration::from_secs(1))
+                    .await;
                 assert_eq!(counter.get(NfsProc::Close), 1, "spontaneous close");
                 assert_eq!(server.state_of(fh), FileState::Closed);
             }

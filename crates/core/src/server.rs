@@ -16,7 +16,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use spritely_blockdev::DiskSched;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{InflightGauge, OpCounter};
 use spritely_proto::{
@@ -24,10 +23,10 @@ use spritely_proto::{
     NfsStatus, OpenReply,
 };
 use spritely_rpcnet::{Caller, Endpoint, EndpointParams};
-use spritely_sim::{Resource, Semaphore, Sim, SimDuration};
+use spritely_sim::{Resource, Semaphore, Sim, SimDuration, SimTime};
 use spritely_trace::{Cause, EventKind, Tracer};
 
-use crate::delegation::{DelegationParams, DelegationStats};
+use crate::delegation::{DelegationParams, DelegationStats, RECALL_TIMEOUT};
 use crate::state_table::{CallbackNeeded, Deleg, FileState, StateTable};
 
 /// SNFS server configuration.
@@ -42,21 +41,6 @@ pub struct SnfsServerParams {
     /// open under SNFS as an implicit SNFS open, so NFS clients get
     /// consistent data and SNFS clients get their callbacks.
     pub hybrid_nfs: bool,
-    /// §2.4 recovery: how long a rebooted server stays in its grace
-    /// period, accepting only `recover`/`keepalive` calls while clients
-    /// re-register their state.
-    pub grace_period: SimDuration,
-    /// §7 extension: Sprite-style consistency for name translations. A
-    /// `lookup` registers the caller as a watcher of the directory; any
-    /// namespace change to that directory sends invalidate callbacks to
-    /// the other watchers *before* the change is acknowledged, so client
-    /// name caches can never serve a stale translation.
-    pub dir_callbacks: bool,
-    /// First retry delay after a timed-out callback. Doubles per retry
-    /// (capped at 8 s). A timed-out callback used to declare the client
-    /// crashed immediately, so one lossy exchange — or a transient
-    /// partition — destroyed a live client's write-back claim.
-    pub callback_retry_backoff: SimDuration,
     /// How long callback retries continue before the client is declared
     /// dead (its state discarded, §3.2's "dead client" case). Roughly
     /// three keepalive intervals: a client silent that long has missed
@@ -64,10 +48,6 @@ pub struct SnfsServerParams {
     /// give-up-on-first-timeout behavior (used by regression tests to
     /// pin the old bug).
     pub callback_dead_after: SimDuration,
-    /// Open-delegation knobs (DESIGN.md §17). Off by default; when off
-    /// the server grants nothing, recalls nothing, and its replies are
-    /// byte-identical to the paper configuration.
-    pub delegation: DelegationParams,
 }
 
 impl Default for SnfsServerParams {
@@ -76,73 +56,23 @@ impl Default for SnfsServerParams {
             table_limit: 1000,
             reclaim_target: 900,
             hybrid_nfs: true,
-            grace_period: SimDuration::from_secs(20),
-            dir_callbacks: true,
-            callback_retry_backoff: SimDuration::from_secs(2),
             callback_dead_after: SimDuration::from_secs(30),
-            delegation: DelegationParams::paper(),
         }
     }
 }
 
-/// Server I/O pipeline configuration: how the server's disk arm is
-/// scheduled, how large its block cache is, whether concurrent miss
-/// reads coalesce, and how many RPCs may be admitted concurrently.
-///
-/// [`ServerIoParams::paper`] (the default) reproduces the measured 1989
-/// server byte-for-byte; [`ServerIoParams::pipelined`] turns all three
-/// layers on. Server writes stay synchronous in both modes — the cache
-/// is write-through and never delays durability, per the paper's NFS
-/// server semantics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerIoParams {
-    /// Disk-arm scheduling policy for the server disk.
-    pub sched: DiskSched,
-    /// Server buffer-cache capacity in blocks.
-    pub cache_blocks: usize,
-    /// Collapse concurrent cache misses on one block into a single disk
-    /// read (followers wait for the leader's fetch).
-    pub single_flight_reads: bool,
-    /// RPC service threads. This is the admission width — that many RPCs
-    /// overlap CPU with disk waits — and the N of the N−1 callback bound.
-    pub service_threads: usize,
-}
+/// §2.4 recovery: how long a rebooted server stays in its grace period,
+/// accepting only `recover`/`keepalive` calls while clients re-register
+/// their state.
+const GRACE_PERIOD: SimDuration = SimDuration::from_secs(20);
 
-impl ServerIoParams {
-    /// The paper-era server: FIFO arm, the baseline 896-block cache, one
-    /// disk read per miss, 4 service threads. Keeps every `table_5_*`
-    /// and `figure_5_*` artifact byte-identical.
-    pub fn paper() -> Self {
-        ServerIoParams {
-            sched: DiskSched::Fifo,
-            cache_blocks: 896,
-            single_flight_reads: false,
-            service_threads: 4,
-        }
-    }
+/// First retry delay after a timed-out callback or recall. Retrying keeps
+/// one lossy exchange — or a transient partition — from destroying a live
+/// client's write-back claim.
+const CALLBACK_RETRY_BACKOFF: SimDuration = SimDuration::from_secs(2);
 
-    /// The pipelined server: C-LOOK arm scheduling (aging limit 4, so no
-    /// request is bypassed more than 4 times; 2M-block full stroke), a
-    /// 4096-block cache with single-flight misses, and 8 service threads
-    /// overlapping CPU with disk waits.
-    pub fn pipelined() -> Self {
-        ServerIoParams {
-            sched: DiskSched::CLook {
-                max_bypass: 4,
-                stroke_blocks: 1 << 21,
-            },
-            cache_blocks: 4096,
-            single_flight_reads: true,
-            service_threads: 8,
-        }
-    }
-}
-
-impl Default for ServerIoParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// Ceiling of the doubling callback retry delay.
+const CALLBACK_BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
 
 /// Callback-related statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -219,6 +149,10 @@ struct Inner {
     /// Concurrent callbacks in flight (peak must stay ≤ N−1).
     callback_inflight: InflightGauge,
     params: SnfsServerParams,
+    /// Open-delegation knobs (DESIGN.md §17). Off, the server grants
+    /// nothing, recalls nothing, and its replies are byte-identical to
+    /// the paper configuration.
+    delegation: DelegationParams,
     stats: Cell<ServerStats>,
     /// Delegation counters (server-side half of [`DelegationStats`]).
     deleg_stats: Cell<DelegationStats>,
@@ -226,7 +160,7 @@ struct Inner {
     /// it from `keepalive` replies and re-register on a change.
     epoch: Cell<u64>,
     /// End of the post-reboot grace period, if one is running.
-    grace_until: Cell<Option<spritely_sim::SimTime>>,
+    grace_until: Cell<Option<SimTime>>,
     /// Clients that may be caching name translations under a directory
     /// (§7 extension). Cleared per client when an invalidate is sent.
     dir_watchers: RefCell<HashMap<FileHandle, Vec<ClientId>>>,
@@ -268,13 +202,20 @@ pub struct SnfsServer {
 
 impl SnfsServer {
     /// Creates a server over `fs`. `service_threads` must match the
-    /// endpoint's thread count so the N−1 callback rule holds.
+    /// endpoint's thread count so the N−1 callback rule holds;
+    /// `delegation` must match the clients'.
     ///
     /// # Panics
     ///
     /// Panics if `service_threads < 2` — a single-threaded SNFS server
     /// would deadlock on the first write-back callback (§3.2).
-    pub fn new(sim: &Sim, fs: LocalFs, service_threads: usize, params: SnfsServerParams) -> Self {
+    pub fn new(
+        sim: &Sim,
+        fs: LocalFs,
+        service_threads: usize,
+        delegation: DelegationParams,
+        params: SnfsServerParams,
+    ) -> Self {
         assert!(
             service_threads >= 2,
             "SNFS needs >= 2 service threads (callback deadlock, paper §3.2)"
@@ -289,6 +230,7 @@ impl SnfsServer {
                 callback_slots: Semaphore::new(service_threads - 1),
                 callback_inflight: InflightGauge::new(),
                 params,
+                delegation,
                 stats: Cell::new(ServerStats::default()),
                 deleg_stats: Cell::new(DelegationStats::default()),
                 epoch: Cell::new(1),
@@ -401,9 +343,6 @@ impl SnfsServer {
     /// deregistered by the invalidate; they re-register on their next
     /// lookup.
     async fn invalidate_dir_watchers(&self, parent: u64, dir: FileHandle, originator: ClientId) {
-        if !self.inner.params.dir_callbacks {
-            return;
-        }
         let targets: Vec<ClientId> = {
             let mut w = self.inner.dir_watchers.borrow_mut();
             match w.get_mut(&dir) {
@@ -462,7 +401,7 @@ impl SnfsServer {
         self.inner.epoch.set(self.inner.epoch.get() + 1);
         self.inner
             .grace_until
-            .set(Some(self.inner.sim.now() + self.inner.params.grace_period));
+            .set(Some(self.inner.sim.now() + GRACE_PERIOD));
     }
 
     /// Registers the callback channel for a client host. Without one, the
@@ -968,9 +907,7 @@ impl SnfsServer {
         );
         self.spawn_tx_commit(begin, peer_shard, txid);
         self.invalidate_dir_watchers(ctx, to_dir, from).await;
-        if self.inner.params.dir_callbacks {
-            self.watch_dir(to_dir, from);
-        }
+        self.watch_dir(to_dir, from);
         self.unlock_name(&to_name);
         rep
     }
@@ -1100,85 +1037,31 @@ impl SnfsServer {
             .borrow()
             .get(&cb.target)
             .cloned();
-        let Some(caller) = caller else {
-            self.bump_stats(|s| s.callbacks_failed += 1);
-            let affected = self.inner.table.borrow_mut().client_crashed(cb.target);
-            self.emit_client_crashed(parent, cb.target, &affected);
-            for (afh, ..) in &affected {
-                self.gc_file_lock(*afh);
-            }
-            return false;
-        };
-        // N−1 rule: hold a callback slot while waiting on the client.
-        let slot = self.inner.callback_slots.acquire().await;
-        self.bump_stats(|s| s.callbacks_sent += 1);
-        self.inner.callback_inflight.inc();
-        // The begin event sits inside the slot so the checker's
-        // concurrent-callback count mirrors the real N−1 budget.
-        let cb_seq = self.emit(
-            parent,
-            EventKind::CallbackBegin {
-                target: cb.target,
-                fh,
-                writeback: cb.writeback,
-                invalidate: cb.invalidate,
-            },
-        );
-        // One sequence number per *logical* callback: retries are fresh
-        // RPCs with fresh xids (the RPC dup cache cannot pair them), so
-        // this is what lets the client recognize — and answer
-        // idempotently — a delivery it has already acted on.
-        let arg_seq = self.inner.cb_next_seq.get() + 1;
-        self.inner.cb_next_seq.set(arg_seq);
         let arg = CallbackArg {
             fh,
             writeback: cb.writeback,
             invalidate: cb.invalidate,
             relinquish,
-            seq: arg_seq,
+            seq: 0,
             recall: false,
         };
         // A timeout is not a crash: a lossy network or a transient
         // partition can eat a whole retransmission ladder while the
-        // client is alive and holding dirty data. Retry with doubling
-        // backoff (slot held — the N−1 rule bounds waiting callbacks,
-        // not just active ones) and only declare the client dead once
-        // it has been unreachable past the keepalive horizon. A reply
-        // with `ok == false` is different: the client answered and
-        // refused, and is treated as crashed immediately as before.
-        let started = self.inner.sim.now();
-        let mut backoff = self.inner.params.callback_retry_backoff;
-        const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
-        let res = loop {
-            match caller.call_ctx(cb_seq, arg).await {
-                Ok(rep) => break Some(rep),
-                Err(_) => {
-                    let elapsed = self.inner.sim.now().saturating_duration_since(started);
-                    if elapsed >= self.inner.params.callback_dead_after {
-                        break None;
-                    }
-                    self.inner
-                        .callback_retries
-                        .set(self.inner.callback_retries.get() + 1);
-                    self.inner.sim.sleep(backoff).await;
-                    backoff = backoff.mul_f64(2.0);
-                    if backoff > BACKOFF_CAP {
-                        backoff = BACKOFF_CAP;
-                    }
-                }
+        // client is alive and holding dirty data, so the callback is
+        // retried until the client has been unreachable past the
+        // keepalive horizon. A reply with `ok == false` is different:
+        // the client answered and refused, and is treated as crashed
+        // immediately.
+        let (ok, cb_seq) = match caller {
+            Some(caller) => {
+                let horizon = self.inner.params.callback_dead_after;
+                let (ok, cb_seq, _) = self
+                    .callback_rpc(parent, &caller, cb, arg, horizon, || false)
+                    .await;
+                (ok, cb_seq)
             }
+            None => (false, parent),
         };
-        self.inner.callback_inflight.dec();
-        let ok = matches!(&res, Some(rep) if rep.ok);
-        self.emit(
-            cb_seq,
-            EventKind::CallbackEnd {
-                target: cb.target,
-                fh,
-                ok,
-            },
-        );
-        drop(slot);
         if ok {
             if cb.writeback {
                 let st0 = self.inner.table.borrow().state_of(fh);
@@ -1198,6 +1081,72 @@ impl SnfsServer {
             }
             false
         }
+    }
+
+    /// Sends one callback RPC under the §3.2 N−1 slot budget, traced as
+    /// a `CallbackBegin`/`CallbackEnd` pair described by `cb`; `arg.seq`
+    /// is assigned here. Timed-out attempts retry with doubling backoff
+    /// (slot held — the N−1 rule bounds waiting callbacks, not just
+    /// active ones) until `give_up_after` has passed since the first.
+    /// `done` runs before every attempt; once it holds, an earlier
+    /// delivery already met the callback's purpose. Returns whether the
+    /// client answered `ok` (or `done` held), the `CallbackBegin`
+    /// sequence, and when the first attempt went out.
+    async fn callback_rpc(
+        &self,
+        parent: u64,
+        caller: &Caller<CallbackArg, CallbackReply>,
+        cb: CallbackNeeded,
+        mut arg: CallbackArg,
+        give_up_after: SimDuration,
+        done: impl Fn() -> bool,
+    ) -> (bool, u64, SimTime) {
+        let slot = self.inner.callback_slots.acquire().await;
+        self.bump_stats(|s| s.callbacks_sent += 1);
+        self.inner.callback_inflight.inc();
+        // The begin event sits inside the slot so the checker's
+        // concurrent-callback count mirrors the real N−1 budget.
+        let (target, fh) = (cb.target, arg.fh);
+        let cb_seq = self.emit(
+            parent,
+            EventKind::CallbackBegin {
+                target,
+                fh,
+                writeback: cb.writeback,
+                invalidate: cb.invalidate,
+            },
+        );
+        // One sequence number per *logical* callback: retries are fresh
+        // RPCs with fresh xids (the RPC dup cache cannot pair them), so
+        // this is what lets the client recognize — and answer
+        // idempotently — a delivery it has already acted on.
+        arg.seq = self.inner.cb_next_seq.get() + 1;
+        self.inner.cb_next_seq.set(arg.seq);
+        let started = self.inner.sim.now();
+        let mut backoff = CALLBACK_RETRY_BACKOFF;
+        let ok = loop {
+            if done() {
+                break true;
+            }
+            match caller.call_ctx(cb_seq, arg).await {
+                Ok(rep) => break rep.ok,
+                Err(_) => {
+                    let elapsed = self.inner.sim.now().saturating_duration_since(started);
+                    if elapsed >= give_up_after {
+                        break false;
+                    }
+                    self.inner
+                        .callback_retries
+                        .set(self.inner.callback_retries.get() + 1);
+                    self.inner.sim.sleep(backoff).await;
+                    backoff = backoff.mul_f64(2.0).min(CALLBACK_BACKOFF_CAP);
+                }
+            }
+        };
+        self.inner.callback_inflight.dec();
+        self.emit(cb_seq, EventKind::CallbackEnd { target, fh, ok });
+        drop(slot);
+        (ok, cb_seq, started)
     }
 
     /// Performs a set of callbacks. A single one runs inline; several
@@ -1258,7 +1207,7 @@ impl SnfsServer {
     }
 
     /// Recalls one delegation over the callback channel and waits —
-    /// bounded by `delegation.recall_timeout` — for the holder to flush
+    /// bounded by [`RECALL_TIMEOUT`] — for the holder to flush
     /// and return it. On timeout the delegation is revoked and the
     /// holder fenced. Called with the file lock held; the holder's
     /// return travels as a `DelegReturn` RPC, whose handler takes no
@@ -1283,80 +1232,32 @@ impl SnfsServer {
             .or_insert(0) += 1;
         // Recalls ride the callback channel, so they obey the N−1 slot
         // budget and appear in the trace's callback concurrency count.
-        let slot = self.inner.callback_slots.acquire().await;
-        self.bump_stats(|s| s.callbacks_sent += 1);
-        self.inner.callback_inflight.inc();
-        let cb_seq = self.emit(
-            parent,
-            EventKind::CallbackBegin {
-                target: d.holder,
-                fh,
-                writeback: d.write,
-                invalidate: false,
-            },
-        );
-        let arg_seq = self.inner.cb_next_seq.get() + 1;
-        self.inner.cb_next_seq.set(arg_seq);
+        let traced = CallbackNeeded {
+            target: d.holder,
+            writeback: d.write,
+            invalidate: false,
+        };
         let arg = CallbackArg {
             fh,
             writeback: false,
             invalidate: false,
             relinquish: false,
-            seq: arg_seq,
+            seq: 0,
             recall: true,
         };
-        let started = self.inner.sim.now();
-        let mut backoff = self.inner.params.callback_retry_backoff;
-        const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
-        let res = loop {
-            // The return may land through a duplicate delivery while a
-            // retry is still in flight; stop as soon as it does.
-            if self
-                .inner
+        // The return may land through a duplicate delivery while a
+        // retry is still in flight; stop as soon as it does.
+        let returned = || {
+            self.inner
                 .table
                 .borrow()
                 .delegation_of(fh, d.holder)
                 .is_none()
-            {
-                break Some(true);
-            }
-            match caller.call_ctx(cb_seq, arg).await {
-                Ok(rep) => break Some(rep.ok),
-                Err(_) => {
-                    let elapsed = self.inner.sim.now().saturating_duration_since(started);
-                    if elapsed >= self.inner.params.delegation.recall_timeout {
-                        break None;
-                    }
-                    self.inner
-                        .callback_retries
-                        .set(self.inner.callback_retries.get() + 1);
-                    self.inner.sim.sleep(backoff).await;
-                    backoff = backoff.mul_f64(2.0);
-                    if backoff > BACKOFF_CAP {
-                        backoff = BACKOFF_CAP;
-                    }
-                }
-            }
         };
-        self.inner.callback_inflight.dec();
-        let answered = matches!(res, Some(true));
-        self.emit(
-            cb_seq,
-            EventKind::CallbackEnd {
-                target: d.holder,
-                fh,
-                ok: answered,
-            },
-        );
-        drop(slot);
-        if answered
-            && self
-                .inner
-                .table
-                .borrow()
-                .delegation_of(fh, d.holder)
-                .is_none()
-        {
+        let (answered, cb_seq, started) = self
+            .callback_rpc(parent, &caller, traced, arg, RECALL_TIMEOUT, returned)
+            .await;
+        if answered && returned() {
             // The holder acked after its DelegReturn RPC was applied.
             let us = self
                 .inner
@@ -1382,7 +1283,7 @@ impl SnfsServer {
     /// opening it (`write` mode), then returns. Concurrent recalls fan
     /// out like callbacks, bounded by the N−1 slots.
     async fn recall_conflicting(&self, parent: u64, fh: FileHandle, opener: ClientId, write: bool) {
-        if !self.inner.params.delegation.enabled {
+        if !self.inner.delegation.enabled {
             return;
         }
         let conflicts = self
@@ -1418,7 +1319,7 @@ impl SnfsServer {
         client: ClientId,
         write: bool,
     ) -> Option<spritely_proto::Delegation> {
-        if !self.inner.params.delegation.enabled {
+        if !self.inner.delegation.enabled {
             return None;
         }
         let grant = self
@@ -1538,7 +1439,7 @@ impl SnfsServer {
                 // answer is `Grace` — "try again later" — instead
                 // (DESIGN.md §17.3). The client's keepalive daemon
                 // tolerates the failure and re-probes.
-                if self.inner.params.delegation.enabled
+                if self.inner.delegation.enabled
                     && self
                         .inner
                         .recalls_pending
@@ -1774,7 +1675,7 @@ impl SnfsServer {
                 // §7 extension: a successful lookup makes the caller a
                 // watcher of the directory, entitled to an invalidate
                 // callback before any namespace change is acknowledged.
-                if self.inner.params.dir_callbacks && !matches!(rep, NfsReply::Err(_)) {
+                if !matches!(rep, NfsReply::Err(_)) {
                     self.watch_dir(dir, from);
                 }
                 rep
@@ -1788,7 +1689,7 @@ impl SnfsServer {
                     self.invalidate_dir_watchers(ctx, dir, from).await;
                     // The creator learns the new translation from the
                     // reply and will cache it — it is a watcher too.
-                    if created && self.inner.params.dir_callbacks {
+                    if created {
                         self.watch_dir(dir, from);
                     }
                 }
@@ -1808,9 +1709,7 @@ impl SnfsServer {
                 let rep = spritely_nfs::handle(&self.inner.fs, req).await;
                 if !matches!(rep, NfsReply::Err(_)) {
                     self.invalidate_dir_watchers(ctx, to_dir, from).await;
-                    if self.inner.params.dir_callbacks {
-                        self.watch_dir(to_dir, from);
-                    }
+                    self.watch_dir(to_dir, from);
                 }
                 rep
             }
@@ -1818,9 +1717,7 @@ impl SnfsServer {
                 let rep = spritely_nfs::handle(&self.inner.fs, req).await;
                 if !matches!(rep, NfsReply::Err(_)) {
                     self.invalidate_dir_watchers(ctx, dir, from).await;
-                    if self.inner.params.dir_callbacks {
-                        self.watch_dir(dir, from);
-                    }
+                    self.watch_dir(dir, from);
                 }
                 rep
             }

@@ -14,12 +14,6 @@ use spritely_rpcnet::{CallerParams, EndpointParams, NetParams};
 use spritely_sim::SimDuration;
 use spritely_vfs::SyscallCosts;
 
-/// Number of service threads on the server (≥ 2 for SNFS, §3.2).
-pub const SERVER_THREADS: usize = 4;
-
-/// Server buffer cache: ≈3.5 MB (paper §5.2) at 4 KB blocks.
-pub const SERVER_CACHE_BLOCKS: usize = 896;
-
 /// Client buffer cache: ≈16 MB (paper §5.2) at 4 KB blocks.
 pub const CLIENT_CACHE_BLOCKS: usize = 4096;
 
@@ -33,35 +27,23 @@ pub fn net_params() -> NetParams {
     NetParams::ethernet_10mbit()
 }
 
-/// Server file system (update daemon on by default).
-pub fn server_fs_params(update_enabled: bool) -> FsParams {
+/// A host's disk file system (server or client local disk): a
+/// `cache_blocks` buffer cache and, when `update_enabled`, the 30 s
+/// update daemon.
+pub fn fs_params(cache_blocks: usize, update_enabled: bool) -> FsParams {
     FsParams {
-        cache_blocks: SERVER_CACHE_BLOCKS,
+        cache_blocks,
         update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        update_min_age: SimDuration::ZERO,
-        charge_structural: true,
-        sync_inode_writes: true,
         single_flight_reads: false,
     }
 }
 
-/// Client local-disk file system.
-pub fn client_fs_params(update_enabled: bool) -> FsParams {
-    FsParams {
-        cache_blocks: CLIENT_CACHE_BLOCKS,
-        update_interval: update_enabled.then(|| SimDuration::from_secs(30)),
-        update_min_age: SimDuration::ZERO,
-        charge_structural: true,
-        sync_inode_writes: true,
-        single_flight_reads: false,
-    }
-}
-
-/// Server endpoint: per-call CPU dominates (the paper found server load
-/// correlated with aggregate call rate, not data rates).
-pub fn endpoint_params() -> EndpointParams {
+/// Server endpoint with `threads` service threads: per-call CPU
+/// dominates (the paper found server load correlated with aggregate
+/// call rate, not data rates).
+pub fn endpoint_params(threads: usize) -> EndpointParams {
     EndpointParams {
-        threads: SERVER_THREADS,
+        threads,
         cpu_per_call: SimDuration::from_micros(900),
         cpu_per_kb: SimDuration::from_micros(120),
         dup_retention: SimDuration::from_secs(60),

@@ -14,12 +14,15 @@
 //! | temp-lifetime ablation | [`run_temp_lifetime`] | — |
 //! | flush latency | [`run_flush_latency`] | [`FlushLatency::report`] |
 //! | RPC transport | [`run_transport_comparison`] | [`TransportComparison::report`] |
+//! | name-cache ablation | [`run_name_cache_ablation`] | (rendered by the runner) |
+//! | probe-interval ablation | [`run_probe_interval_ablation`] | (rendered by the runner) |
 
 pub mod compare;
 pub mod config;
 pub mod report;
 pub mod snapshot;
 
+mod ablationx;
 mod andrew;
 mod chaosx;
 mod flushx;
@@ -30,6 +33,7 @@ mod sortx;
 mod testbed;
 mod transportx;
 
+pub use ablationx::{run_name_cache_ablation, run_probe_interval_ablation};
 pub use andrew::{run_andrew, run_andrew_traced, run_andrew_with, AndrewRun};
 pub use chaosx::{
     chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, server_digest,
@@ -48,12 +52,11 @@ pub use snapshot::{
     TransportSnapshot,
 };
 pub use sortx::{run_sort_experiment, run_sort_with, SortRun};
-pub use spritely_core::{
-    DelegationParams, DelegationStats, ServerIoParams, SnfsServerParams, WriteBehindParams,
-};
+pub use spritely_core::{DelegationParams, DelegationStats, SnfsServerParams, WriteBehindParams};
 pub use spritely_rpcnet::{FaultParams, PartitionDir, TransportParams, TransportStats};
 pub use testbed::{
-    ClientHost, Protocol, RemoteClient, ShardHost, ShardParams, Testbed, TestbedParams,
+    ClientHost, Protocol, RemoteClient, ServerIoParams, ShardHost, ShardParams, Testbed,
+    TestbedParams,
 };
 pub use transportx::{
     run_data_scaling, run_transport_comparison, DataScalingRun, TransportComparison,

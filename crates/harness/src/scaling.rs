@@ -75,7 +75,7 @@ pub fn run_scaling(protocol: Protocol, n_clients: usize, seed: u64) -> ScalingRu
 }
 
 /// [`run_scaling`] with full control of the testbed — used to compare
-/// server I/O configurations ([`spritely_core::ServerIoParams`]) at a
+/// server I/O configurations ([`ServerIoParams`](crate::ServerIoParams)) at a
 /// fixed protocol and client count.
 pub fn run_scaling_with(params: TestbedParams, n_clients: usize, seed: u64) -> ScalingRun {
     let protocol = params.protocol;

@@ -5,11 +5,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use spritely_blockdev::Disk;
+use spritely_blockdev::{Disk, DiskSched};
 use spritely_core::{
-    DelegationParams, DelegationStats, ServerIoParams, SnfsClient, SnfsClientParams, SnfsServer,
-    SnfsServerParams, WriteBehindParams,
+    DelegationParams, DelegationStats, SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams,
+    WriteBehindParams, LEASE, RECALL_TIMEOUT,
 };
+use spritely_localfs::FsParams;
 use spritely_localfs::LocalFs;
 use spritely_metrics::{GaugeSeries, LatencyStats, OpCounter, RateSeries};
 use spritely_nfs::{nfs_server, NfsClient, NfsClientParams};
@@ -89,6 +90,66 @@ impl Default for ShardParams {
     }
 }
 
+/// Server I/O pipeline configuration: how the server's disk arm is
+/// scheduled, how large its block cache is, whether concurrent miss
+/// reads coalesce, and how many RPCs may be admitted concurrently. A
+/// closed choice of two presets.
+///
+/// [`ServerIoParams::paper`] (the default) reproduces the measured 1989
+/// server byte-for-byte; [`ServerIoParams::pipelined`] turns all three
+/// layers on. Server writes stay synchronous in both modes — the cache
+/// is write-through and never delays durability, per the paper's NFS
+/// server semantics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServerIoParams {
+    /// Disk-arm scheduling policy for the server disk.
+    sched: DiskSched,
+    /// Server buffer-cache capacity in blocks.
+    cache_blocks: usize,
+    /// Collapse concurrent cache misses on one block into a single disk
+    /// read (followers wait for the leader's fetch).
+    single_flight_reads: bool,
+    /// RPC service threads. This is the admission width — that many RPCs
+    /// overlap CPU with disk waits — and the N of the N−1 callback bound.
+    service_threads: usize,
+}
+
+impl ServerIoParams {
+    /// The paper-era server: FIFO arm, an ≈3.5 MB (paper §5.2) 896-block
+    /// cache, one disk read per miss, 4 service threads. Keeps every
+    /// `table_5_*` and `figure_5_*` artifact byte-identical.
+    pub fn paper() -> Self {
+        ServerIoParams {
+            sched: DiskSched::Fifo,
+            cache_blocks: 896,
+            single_flight_reads: false,
+            service_threads: 4,
+        }
+    }
+
+    /// The pipelined server: C-LOOK arm scheduling (aging limit 4, so no
+    /// request is bypassed more than 4 times; 2M-block full stroke), a
+    /// 4096-block cache with single-flight misses, and 8 service threads
+    /// overlapping CPU with disk waits.
+    pub fn pipelined() -> Self {
+        ServerIoParams {
+            sched: DiskSched::CLook {
+                max_bypass: 4,
+                stroke_blocks: 1 << 21,
+            },
+            cache_blocks: 4096,
+            single_flight_reads: true,
+            service_threads: 8,
+        }
+    }
+}
+
+impl Default for ServerIoParams {
+    fn default() -> Self {
+        Self::paper()
+    }
+}
+
 /// Testbed knobs beyond the protocol itself.
 #[derive(Debug, Clone, Copy)]
 pub struct TestbedParams {
@@ -146,7 +207,9 @@ pub struct TestbedParams {
     /// Open delegations (DESIGN.md §17): RPC-free open/close fast path
     /// with recall-on-conflict. Applied to both the SNFS server and its
     /// clients. The default ([`DelegationParams::paper`]) is provably
-    /// inert — no grants, no new RPCs, byte-identical artifacts.
+    /// inert — no grants, no new RPCs, byte-identical artifacts. Enabled,
+    /// it requires `faults.max_delay` below `RECALL_TIMEOUT − LEASE`
+    /// (DESIGN.md §17.3).
     pub delegation: DelegationParams,
     /// Namespace sharding (DESIGN.md §18). The default
     /// ([`ShardParams::paper`]) is the one-shard layout: the paper's
@@ -311,6 +374,14 @@ impl Testbed {
                  a cached root binding would bypass the layout map"
             );
         }
+        // Revoke ⇒ the holder's lease lapsed only while no message is
+        // delayed past the gap between the two (DESIGN.md §17.3).
+        assert!(
+            !params.delegation.enabled || params.faults.max_delay < RECALL_TIMEOUT - LEASE,
+            "delegations need faults.max_delay ({}) below recall timeout − lease ({})",
+            params.faults.max_delay,
+            RECALL_TIMEOUT - LEASE
+        );
         let host = |s: usize, what: &str| {
             if sharded {
                 format!("server{s}-{what}")
@@ -331,9 +402,10 @@ impl Testbed {
                 config::disk_params(),
                 params.server_io.sched,
             );
-            let mut fsp = config::server_fs_params(params.update_enabled);
-            fsp.cache_blocks = params.server_io.cache_blocks;
-            fsp.single_flight_reads = params.server_io.single_flight_reads;
+            let fsp = FsParams {
+                single_flight_reads: params.server_io.single_flight_reads,
+                ..config::fs_params(params.server_io.cache_blocks, params.update_enabled)
+            };
             // Shard s exports fsid s + 1; handle-addressed requests
             // route on nothing else.
             let fs = LocalFs::new(&sim, s as u32 + 1, disk, fsp);
@@ -391,8 +463,7 @@ impl Testbed {
         // ---- protocol servers + endpoints ----------------------------------
         // The admission width (endpoint threads) comes from the server I/O
         // params: that many RPCs may overlap CPU with disk waits.
-        let mut ep_params = config::endpoint_params();
-        ep_params.threads = params.server_io.service_threads;
+        let ep_params = config::endpoint_params(params.server_io.service_threads);
         let mut endpoints: Vec<NfsEndpoint> = Vec::new();
         let mut shard_hosts: Vec<ShardHost> = Vec::new();
         for s in 0..n_shards {
@@ -409,10 +480,13 @@ impl Testbed {
                     counter.clone(),
                 ),
                 Protocol::Snfs | Protocol::SnfsDelayedClose => {
-                    let mut sp = params.snfs_server;
-                    sp.delegation = params.delegation;
-                    let srv =
-                        SnfsServer::new(&sim, fs.clone(), params.server_io.service_threads, sp);
+                    let srv = SnfsServer::new(
+                        &sim,
+                        fs.clone(),
+                        params.server_io.service_threads,
+                        params.delegation,
+                        params.snfs_server,
+                    );
                     if let Some(t) = &tracer {
                         srv.set_tracer(t.clone());
                     }
@@ -510,7 +584,7 @@ impl Testbed {
                 &sim,
                 100 + cid.0,
                 disk,
-                config::client_fs_params(params.update_enabled),
+                config::fs_params(config::CLIENT_CACHE_BLOCKS, params.update_enabled),
             );
             local_fs.spawn_update_daemon();
             // Local tmp directory.
@@ -533,7 +607,6 @@ impl Testbed {
                         read_ahead: params.read_ahead,
                         cache_blocks: params.client_cache_blocks,
                         name_cache: params.name_cache,
-                        ..NfsClientParams::default()
                     },
                 )),
                 Protocol::Snfs | Protocol::SnfsDelayedClose => {
@@ -552,7 +625,6 @@ impl Testbed {
                             delayed_close: params.protocol == Protocol::SnfsDelayedClose,
                             name_cache: params.name_cache,
                             delegation: params.delegation,
-                            ..SnfsClientParams::default()
                         },
                     );
                     if let Some(t) = &tracer {

@@ -17,7 +17,7 @@
 //! transport itself is the bottleneck under comparison; only
 //! `TransportParams` varies.
 
-use spritely_core::{ServerIoParams, WriteBehindParams};
+use spritely_core::WriteBehindParams;
 use spritely_metrics::TextTable;
 use spritely_rpcnet::TransportParams;
 use spritely_sim::SimDuration;
@@ -25,7 +25,7 @@ use spritely_vfs::OpenFlags;
 
 use crate::andrew::{run_andrew_with, AndrewRun};
 use crate::report;
-use crate::testbed::{Protocol, Testbed, TestbedParams};
+use crate::testbed::{Protocol, ServerIoParams, Testbed, TestbedParams};
 
 fn andrew_params(t: TransportParams) -> TestbedParams {
     TestbedParams {

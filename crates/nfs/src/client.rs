@@ -36,17 +36,11 @@ use spritely_sim::{Event, Semaphore, Sim, SimDuration, SimTime};
 pub struct NfsClientParams {
     /// Minimum attribute-cache lifetime (probe interval floor).
     pub attr_min: SimDuration,
-    /// Maximum attribute-cache lifetime (probe interval ceiling).
-    pub attr_max: SimDuration,
-    /// Number of write-behind daemons.
-    pub biods: usize,
     /// Data cache capacity in blocks.
     pub cache_blocks: usize,
     /// Purge the file's cached data on final close (the vintage
     /// reference-port bug the paper measured around, §5.2).
     pub invalidate_on_close: bool,
-    /// Delay writes that do not extend to a block boundary (footnote 4).
-    pub delay_partial_writes: bool,
     /// Prefetch the next block on cache-missing sequential reads.
     pub read_ahead: bool,
     /// Cache name translations with a TTL, like post-1989 NFS clients
@@ -55,25 +49,28 @@ pub struct NfsClientParams {
     /// probabilistically consistent: within the TTL a renamed or removed
     /// file can still resolve here.
     pub name_cache: bool,
-    /// Lifetime of a name-cache entry.
-    pub name_cache_ttl: SimDuration,
 }
 
 impl Default for NfsClientParams {
     fn default() -> Self {
         NfsClientParams {
             attr_min: SimDuration::from_secs(3),
-            attr_max: SimDuration::from_secs(150),
-            biods: 4,
             cache_blocks: 4096,
             invalidate_on_close: true,
-            delay_partial_writes: true,
             read_ahead: true,
             name_cache: false,
-            name_cache_ttl: SimDuration::from_secs(30),
         }
     }
 }
+
+/// Maximum attribute-cache lifetime (probe interval ceiling).
+const ATTR_MAX: SimDuration = SimDuration::from_secs(150);
+
+/// Number of write-behind daemons.
+const BIODS: usize = 4;
+
+/// Lifetime of a name-cache entry.
+const NAME_CACHE_TTL: SimDuration = SimDuration::from_secs(30);
 
 type Key = (FileHandle, u64);
 
@@ -150,7 +147,7 @@ impl NfsClient {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
                 caller: caller.into(),
-                biods: Semaphore::new(params.biods.max(1)),
+                biods: Semaphore::new(BIODS),
                 params,
                 cache: RefCell::new(BlockCache::new(params.cache_blocks)),
                 attrs: RefCell::new(HashMap::new()),
@@ -200,8 +197,7 @@ impl NfsClient {
         // rarely. Ultrix clamped the interval to [3 s, 150 s] (footnote 3).
         let age_us = e.fetched.as_micros().saturating_sub(e.attr.mtime);
         let t = SimDuration::from_micros(age_us / 4);
-        t.max(self.inner.params.attr_min)
-            .min(self.inner.params.attr_max)
+        t.max(self.inner.params.attr_min).min(ATTR_MAX)
     }
 
     /// Records fresh server attributes, invalidating cached data if the
@@ -551,11 +547,9 @@ impl NfsClient {
             }
         }
         let end = start + buf.len() as u64;
-        let emit_end = if self.inner.params.delay_partial_writes {
-            (end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64
-        } else {
-            end
-        };
+        // Writes that do not reach a block boundary wait client-side
+        // (footnote 4).
+        let emit_end = (end / BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
         if emit_end > start {
             let rest = buf.split_off((emit_end - start) as usize);
             self.emit_pieces(fh, start, buf);
@@ -615,7 +609,7 @@ impl NfsClient {
                 let names = self.inner.names.borrow();
                 names.get(&(dir, name.to_string())).and_then(|e| {
                     let age = self.inner.sim.now().saturating_duration_since(e.fetched);
-                    (age < self.inner.params.name_cache_ttl).then_some((e.fh, e.attr))
+                    (age < NAME_CACHE_TTL).then_some((e.fh, e.attr))
                 })
             };
             if let Some(hit) = hit {

@@ -59,6 +59,9 @@ enum DupState<Rep> {
 /// proxy something to measure.
 const DUP_BUCKETS: usize = 16;
 
+/// Ceiling for the backed-off per-attempt retransmission timeout.
+const BACKOFF_MAX: SimDuration = SimDuration::from_secs(8);
+
 /// One duplicate-cache bucket: its own map, purge clock, and contention
 /// accounting, so bucket maintenance never touches its siblings.
 struct DupBucket<Rep> {
@@ -785,25 +788,33 @@ where
     /// attempt's timeout at the current transport's backoff settings,
     /// with jitter at its worst.
     fn worst_case_ladder(&self) -> SimDuration {
-        let t = self.transport.get();
         let mut total = SimDuration::ZERO;
         for attempt in 0..=self.params.max_retries {
-            let mut a = self.params.timeout;
-            if t.backoff_factor > 1.0 {
-                for _ in 0..attempt {
-                    a = a.mul_f64(t.backoff_factor);
-                    if a >= t.backoff_max {
-                        a = t.backoff_max;
-                        break;
-                    }
-                }
-            }
-            if t.backoff_jitter > 0.0 {
-                a = a.mul_f64(1.0 + t.backoff_jitter * 0.5);
-            }
-            total += a;
+            total += self.ladder_step(attempt, || 1.0);
         }
         total
+    }
+
+    /// Timeout of retransmission `attempt`: the base timeout grown by
+    /// the backoff factor per attempt up to [`BACKOFF_MAX`], then
+    /// jittered by `draw()`, a uniform `[0, 1)` sample (1.0 gives the
+    /// worst case). `draw` runs only when jitter is configured.
+    fn ladder_step(&self, attempt: u32, draw: impl FnOnce() -> f64) -> SimDuration {
+        let t = self.transport.get();
+        let mut d = self.params.timeout;
+        if t.backoff_factor > 1.0 {
+            for _ in 0..attempt {
+                d = d.mul_f64(t.backoff_factor);
+                if d >= BACKOFF_MAX {
+                    d = BACKOFF_MAX;
+                    break;
+                }
+            }
+        }
+        if t.backoff_jitter > 0.0 {
+            d = d.mul_f64(1.0 + t.backoff_jitter * (draw() - 0.5));
+        }
+        d
     }
 
     /// The dup cache is the only thing standing between a retransmitted
@@ -1016,21 +1027,7 @@ where
     /// jitter so simultaneous retransmitters desynchronize instead of
     /// storming the server in lockstep.
     fn attempt_timeout(&self, attempt: u32) -> SimDuration {
-        let t = self.transport.get();
-        let mut d = self.params.timeout;
-        if t.backoff_factor > 1.0 {
-            for _ in 0..attempt {
-                d = d.mul_f64(t.backoff_factor);
-                if d >= t.backoff_max {
-                    d = t.backoff_max;
-                    break;
-                }
-            }
-        }
-        if t.backoff_jitter > 0.0 {
-            d = d.mul_f64(1.0 + t.backoff_jitter * (self.rng.f64() - 0.5));
-        }
-        d
+        self.ladder_step(attempt, || self.rng.f64())
     }
 
     async fn attempt(&self, xid: u64, parent: u64, req: Req, bg: bool) -> Rep {

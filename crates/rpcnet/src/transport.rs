@@ -24,11 +24,9 @@ pub struct TransportParams {
     pub piggyback: bool,
     /// Use the switched full-duplex network instead of the shared bus.
     pub switched: bool,
-    /// Per-attempt timeout multiplier applied on each retransmission;
-    /// 1.0 keeps the paper's fixed timeout.
+    /// Per-attempt timeout multiplier applied on each retransmission
+    /// (up to an 8 s ceiling); 1.0 keeps the paper's fixed timeout.
     pub backoff_factor: f64,
-    /// Ceiling for the backed-off per-attempt timeout.
-    pub backoff_max: SimDuration,
     /// Fractional jitter applied to each attempt's timeout (0.25 means
     /// ±12.5 %), drawn from the caller's own deterministic stream; 0
     /// disables jitter (and consumes no randomness).
@@ -45,7 +43,6 @@ impl TransportParams {
             piggyback: false,
             switched: false,
             backoff_factor: 1.0,
-            backoff_max: SimDuration::from_secs(8),
             backoff_jitter: 0.0,
         }
     }
@@ -60,7 +57,6 @@ impl TransportParams {
             piggyback: true,
             switched: true,
             backoff_factor: 2.0,
-            backoff_max: SimDuration::from_secs(8),
             backoff_jitter: 0.25,
         }
     }

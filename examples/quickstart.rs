@@ -12,7 +12,9 @@ use spritely::metrics::OpCounter;
 use spritely::proto::{ClientId, NfsProc, BLOCK_SIZE};
 use spritely::rpcnet::{Caller, CallerParams, EndpointParams, NetParams, Network};
 use spritely::sim::{Resource, Sim, SimDuration};
-use spritely::snfs::{SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams};
+use spritely::snfs::{
+    DelegationParams, SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams,
+};
 
 fn main() {
     // 1. A simulation, a server host (CPU + RA81 disk + Unix FS), and a
@@ -25,7 +27,13 @@ fn main() {
     let net = Network::new(&sim, "ether", NetParams::ethernet_10mbit());
 
     // 2. The Spritely NFS server and its RPC endpoint.
-    let server = SnfsServer::new(&sim, fs.clone(), 4, SnfsServerParams::default());
+    let server = SnfsServer::new(
+        &sim,
+        fs.clone(),
+        4,
+        DelegationParams::paper(),
+        SnfsServerParams::default(),
+    );
     let counter = OpCounter::new();
     let endpoint = server.endpoint(
         "snfsd",

@@ -13,7 +13,9 @@ use spritely::nfs::{NfsClient, NfsClientParams};
 use spritely::proto::{ClientId, BLOCK_SIZE};
 use spritely::rpcnet::{Caller, CallerParams, EndpointParams, NetParams, Network};
 use spritely::sim::{Resource, Sim};
-use spritely::snfs::{SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams};
+use spritely::snfs::{
+    DelegationParams, SnfsClient, SnfsClientParams, SnfsServer, SnfsServerParams,
+};
 
 struct HybridRig {
     sim: Sim,
@@ -31,6 +33,7 @@ fn rig(hybrid: bool) -> HybridRig {
         &sim,
         fs.clone(),
         4,
+        DelegationParams::paper(),
         SnfsServerParams {
             hybrid_nfs: hybrid,
             ..SnfsServerParams::default()

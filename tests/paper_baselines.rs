@@ -15,13 +15,16 @@
 //! raw `stats_*.json` snapshot — against the baseline file. The figure,
 //! flush-latency, transport and traced-Andrew gates also pin the
 //! multi-client and single-server testbed topologies byte for byte, and
-//! the traced-Andrew gate pins the latency profile snapshot too.
+//! the traced-Andrew gate pins the latency profile snapshot too. The
+//! name-cache and probe-interval ablations pin the NFS TTL name cache,
+//! the SNFS directory callbacks and the NFS attribute-cache bounds.
 
 use std::fs;
 
 use spritely::harness::{
-    report, run_andrew, run_andrew_traced, run_flush_latency, run_sort_experiment,
-    run_transport_comparison, Protocol, SortRun, Testbed, TestbedParams,
+    report, run_andrew, run_andrew_traced, run_flush_latency, run_name_cache_ablation,
+    run_probe_interval_ablation, run_sort_experiment, run_transport_comparison, Protocol, SortRun,
+    Testbed, TestbedParams,
 };
 use spritely::trace::{profile_trace, EventKind};
 use spritely::vfs::OpenFlags;
@@ -293,5 +296,33 @@ fn rpc_transport_matches_baselines() {
         cmp.scale8_pipe.tb.stats_snapshot().to_json(),
         baseline("stats_rpc_transport.json"),
         "stats_rpc_transport.json drifted from its baseline"
+    );
+}
+
+#[test]
+fn name_cache_ablation_matches_baseline() {
+    // The run set of benches/ablation_name_cache.rs: the NFS TTL name
+    // cache and the SNFS directory-callback name cache.
+    assert_eq!(
+        rendered(
+            "Ablation: name caching (Andrew, /tmp remote)",
+            &run_name_cache_ablation().0
+        ),
+        baseline("ablation_name_cache.txt"),
+        "ablation_name_cache.txt drifted from its baseline"
+    );
+}
+
+#[test]
+fn probe_interval_ablation_matches_baseline() {
+    // The run set of benches/ablation_probe_interval.rs: the NFS
+    // attribute cache between each probe floor and its 150 s ceiling.
+    assert_eq!(
+        rendered(
+            "Ablation: NFS attribute-probe interval (Andrew)",
+            &run_probe_interval_ablation().0
+        ),
+        baseline("ablation_probe_interval.txt"),
+        "ablation_probe_interval.txt drifted from its baseline"
     );
 }

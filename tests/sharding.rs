@@ -3,10 +3,12 @@
 //! the two-phase coordination path, stale-layout redirects, and
 //! atomicity under seeded network faults.
 
-use spritely::harness::{FaultParams, Protocol, RemoteClient, ShardParams, Testbed, TestbedParams};
+use spritely::harness::{
+    DelegationParams, FaultParams, Protocol, RemoteClient, ShardParams, Testbed, TestbedParams,
+};
 use spritely::proto::{default_shard, NfsStatus, BLOCK_SIZE};
 use spritely::sim::SimDuration;
-use spritely::snfs::SnfsClient;
+use spritely::snfs::{SnfsClient, LEASE, RECALL_TIMEOUT};
 use spritely::trace::EventKind;
 use spritely::vfs::OpenFlags;
 
@@ -375,6 +377,23 @@ fn sharded_name_cache_is_rejected() {
         protocol: Protocol::Snfs,
         shards: ShardParams::sharded(2),
         name_cache: true,
+        ..TestbedParams::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "delegations need faults.max_delay")]
+fn delegation_delay_at_the_lease_gap_is_rejected() {
+    // A message delayed by recall timeout − lease could carry a lease
+    // renewal past the revoke (DESIGN.md §17.3).
+    Testbed::build(TestbedParams {
+        protocol: Protocol::Snfs,
+        delegation: DelegationParams::pipelined(),
+        faults: FaultParams {
+            delay: 0.1,
+            max_delay: RECALL_TIMEOUT - LEASE,
+            ..FaultParams::default()
+        },
         ..TestbedParams::default()
     });
 }
