@@ -8,21 +8,11 @@
 //! them too, but with a stale-name window.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
-use spritely_harness::{run_andrew_with, run_name_cache_ablation, Protocol, TestbedParams};
+use spritely_bench::{config, emit};
+use spritely_harness::{artifacts, run_andrew_with, Protocol, TestbedParams};
 
 fn bench(c: &mut Criterion) {
-    let (table, lookups) = run_name_cache_ablation();
-    artifact_named(
-        "ablation_name_cache",
-        "Ablation: name caching (Andrew, /tmp remote)",
-        &table,
-    );
-    let ledger: Vec<(String, String)> = lookups
-        .iter()
-        .map(|(label, n)| (format!("{}_lookups", slug_of(label)), n.to_string()))
-        .collect();
-    bench_ledger("ablation_name_cache", &ledger);
+    emit(&artifacts::name_cache());
     let mut g = c.benchmark_group("ablation_name_cache");
     g.bench_function("andrew_snfs_name_cache", |b| {
         b.iter(|| {

@@ -3,22 +3,12 @@
 //! window; longer floors trade consistency for RPCs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact_named, bench_ledger, config};
-use spritely_harness::{run_andrew_with, run_probe_interval_ablation, Protocol, TestbedParams};
+use spritely_bench::{config, emit};
+use spritely_harness::{artifacts, run_andrew_with, Protocol, TestbedParams};
 use spritely_sim::SimDuration;
 
 fn bench(c: &mut Criterion) {
-    let (table, getattrs) = run_probe_interval_ablation();
-    artifact_named(
-        "ablation_probe_interval",
-        "Ablation: NFS attribute-probe interval (Andrew)",
-        &table,
-    );
-    let ledger: Vec<(String, String)> = getattrs
-        .iter()
-        .map(|(secs, n)| (format!("probe_{secs}s_getattrs"), n.to_string()))
-        .collect();
-    bench_ledger("ablation_probe_interval", &ledger);
+    emit(&artifacts::probe_interval());
     let mut g = c.benchmark_group("ablation_probe_interval");
     g.bench_function("andrew_nfs_probe_1s", |b| {
         b.iter(|| {

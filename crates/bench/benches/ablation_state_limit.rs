@@ -4,7 +4,8 @@
 //! the paper sized it) never reclaims on this workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact_named, bench_ledger, config};
+use spritely_bench::{config, emit_artifact};
+use spritely_harness::artifacts::Artifact;
 use spritely_harness::{Protocol, RemoteClient, SnfsServerParams, Testbed, TestbedParams};
 use spritely_metrics::TextTable;
 use spritely_sim::SimDuration;
@@ -72,12 +73,12 @@ fn bench(c: &mut Criterion) {
         ledger.push((format!("limit_{limit}_reclaims"), passes.to_string()));
         ledger.push((format!("limit_{limit}_callbacks"), callbacks.to_string()));
     }
-    artifact_named(
-        "ablation_state_limit",
-        "Ablation: state-table limit under 256-file churn",
-        &t.render(),
-    );
-    bench_ledger("ablation_state_limit", &ledger);
+    emit_artifact(&Artifact {
+        name: "ablation_state_limit",
+        title: "Ablation: state-table limit under 256-file churn".into(),
+        body: t.render(),
+        ledger: Some(("ablation_state_limit", ledger)),
+    });
     let mut g = c.benchmark_group("ablation_state_limit");
     for limit in [16usize, 1000] {
         g.bench_function(format!("churn_limit_{limit}"), |b| {

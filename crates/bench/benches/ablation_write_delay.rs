@@ -4,65 +4,21 @@
 //! benchmark responds directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact_named, bench_ledger, config, slug_of};
-use spritely_harness::{run_sort_with, Protocol, TestbedParams};
-use spritely_metrics::TextTable;
-use spritely_proto::NfsProc;
+use spritely_bench::{config, emit};
+use spritely_harness::{artifacts, run_sort_with, Protocol, TestbedParams};
 use spritely_sim::SimDuration;
 
 fn bench(c: &mut Criterion) {
-    let variants: Vec<(&str, TestbedParams)> = vec![
-        (
-            "flush-all@30s (Unix)",
-            TestbedParams {
-                protocol: Protocol::Snfs,
-                tmp_remote: true,
-                snfs_write_delay: SimDuration::ZERO,
-                ..TestbedParams::default()
-            },
-        ),
-        (
-            "age>=30s (Sprite)",
-            TestbedParams {
-                protocol: Protocol::Snfs,
-                tmp_remote: true,
-                snfs_write_delay: SimDuration::from_secs(30),
-                ..TestbedParams::default()
-            },
-        ),
-        (
-            "infinite",
-            TestbedParams {
-                protocol: Protocol::Snfs,
-                tmp_remote: true,
-                update_enabled: false,
-                ..TestbedParams::default()
-            },
-        ),
-    ];
-    let mut t = TextTable::new(vec!["policy", "elapsed s", "write RPCs"]);
-    let mut ledger = Vec::new();
-    for (name, params) in &variants {
-        let r = run_sort_with(*params, 2816 * 1024);
-        t.row(vec![
-            name.to_string(),
-            format!("{:.1}", r.elapsed.as_secs_f64()),
-            r.ops.get(NfsProc::Write).to_string(),
-        ]);
-        ledger.push((
-            format!("{}_write_rpcs", slug_of(name)),
-            r.ops.get(NfsProc::Write).to_string(),
-        ));
-    }
-    artifact_named(
-        "ablation_write_delay",
-        "Ablation: SNFS write-delay policy (sort 2816 KB)",
-        &t.render(),
-    );
-    bench_ledger("ablation_write_delay", &ledger);
+    emit(&artifacts::write_delay());
+    let sprite_age = TestbedParams {
+        protocol: Protocol::Snfs,
+        tmp_remote: true,
+        snfs_write_delay: SimDuration::from_secs(30),
+        ..TestbedParams::default()
+    };
     let mut g = c.benchmark_group("ablation_write_delay");
     g.bench_function("sort_sprite_age_policy", |b| {
-        b.iter(|| run_sort_with(variants[1].1, 1408 * 1024).elapsed)
+        b.iter(|| run_sort_with(sprite_age, 1408 * 1024).elapsed)
     });
     g.finish();
 }

@@ -4,34 +4,11 @@
 //! client or SNFS the same-file reread is nearly free.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
-use spritely_harness::{report, run_reopen, Protocol};
+use spritely_bench::{config, emit};
+use spritely_harness::{artifacts, run_reopen, Protocol};
 
 fn bench(c: &mut Criterion) {
-    let runs = vec![
-        run_reopen(Protocol::Nfs, true, 1024 * 1024),
-        run_reopen(Protocol::Nfs, false, 1024 * 1024),
-        run_reopen(Protocol::NfsFixed, true, 1024 * 1024),
-        run_reopen(Protocol::Snfs, true, 1024 * 1024),
-    ];
-    artifact(
-        "Section 5.3 microbenchmark: write-close-reopen-read",
-        &report::reopen_table(&runs),
-    );
-    let ledger: Vec<(String, String)> = runs
-        .iter()
-        .map(|r| {
-            (
-                format!(
-                    "{}_{}_read_ms",
-                    slug_of(r.protocol.label()),
-                    if r.same_file { "same" } else { "other" }
-                ),
-                format!("{:.1}", r.result.read_time.as_secs_f64() * 1e3),
-            )
-        })
-        .collect();
-    bench_ledger("micro_reopen", &ledger);
+    emit(&artifacts::micro());
     let mut g = c.benchmark_group("micro_reopen");
     for p in [Protocol::Nfs, Protocol::NfsFixed, Protocol::Snfs] {
         g.bench_function(format!("reopen_same_{}", p.label()), |b| {

@@ -4,41 +4,17 @@
 //! shared-nothing workload at 128–512 clients over 1–8 server shards.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, bench_ledger, config, slug_of};
-use spritely_harness::{run_scaling, run_scaling_shards, Protocol};
+use spritely_bench::{artifact, config, emit};
+use spritely_harness::{artifacts, run_scaling, run_scaling_shards, Protocol};
 use spritely_metrics::TextTable;
 
 fn bench(c: &mut Criterion) {
-    let mut t = TextTable::new(vec![
-        "clients",
-        "NFS makespan s",
-        "SNFS makespan s",
-        "NFS disk wr",
-        "SNFS disk wr",
-    ]);
-    let mut ledger = Vec::new();
-    for &n in &[1usize, 2, 4, 8] {
-        let nfs = run_scaling(Protocol::Nfs, n, 42);
-        let snfs = run_scaling(Protocol::Snfs, n, 42);
-        t.row(vec![
-            n.to_string(),
-            format!("{:.0}", nfs.makespan.as_secs_f64()),
-            format!("{:.0}", snfs.makespan.as_secs_f64()),
-            nfs.disk_writes.to_string(),
-            snfs.disk_writes.to_string(),
-        ]);
-        for r in [&nfs, &snfs] {
-            ledger.push((
-                format!("{}_{n}_makespan_s", slug_of(r.protocol.label())),
-                format!("{:.1}", r.makespan.as_secs_f64()),
-            ));
-            ledger.push((
-                format!("{}_{n}_disk_wr", slug_of(r.protocol.label())),
-                r.disk_writes.to_string(),
-            ));
-        }
-    }
-    artifact("Server scaling (paper §2.3)", &t.render());
+    // The §2.3 rows come from the catalogue; the sharded rows extend
+    // the same `BENCH_scaling.json` ledger.
+    let mut paper = artifacts::scaling(42);
+    let Some((_, ledger)) = &mut paper.artifacts[0].ledger else {
+        unreachable!("the scaling artifact has a ledger");
+    };
 
     // Sharded namespace: the same seed, 1–8 shards, 128–512 clients on
     // the shared-nothing workload. Per-shard served-RPC counts ride
@@ -91,8 +67,8 @@ fn bench(c: &mut Criterion) {
             ));
         }
     }
+    emit(&paper);
     artifact("Sharded namespace scaling (DESIGN.md §18)", &st.render());
-    bench_ledger("scaling", &ledger);
     let mut g = c.benchmark_group("scaling");
     for p in [Protocol::Nfs, Protocol::Snfs] {
         g.bench_function(format!("four_clients_{}", p.label()), |b| {

@@ -7,9 +7,10 @@
 //! synchronous, so consistency results are untouched.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spritely_bench::{artifact, artifact_file, bench_ledger, config, slug_of};
+use spritely_bench::{artifact, artifact_file, bench_ledger, config};
 use spritely_harness::{
-    report, run_scaling_with, Protocol, ScalingRun, ServerIoParams, TestbedParams,
+    artifacts::slug_of, report, run_scaling_with, Protocol, ScalingRun, ServerIoParams,
+    TestbedParams,
 };
 use spritely_metrics::TextTable;
 

@@ -1,15 +1,17 @@
-//! Shared plumbing for the per-table/per-figure Criterion benches.
+//! Shared plumbing for the Criterion benches.
 //!
-//! Each bench target in `benches/` regenerates one artifact of the
-//! paper's evaluation — it prints the paper-style table (or figure
-//! series) once, then benchmarks the run that produces it. Absolute
-//! numbers are the simulator's; the *shape* (who wins, by what factor)
-//! is what reproduces the paper. See EXPERIMENTS.md for the side-by-side
-//! record.
+//! Each bench target prints its artifacts once, mirrors them to
+//! `artifacts/` and its `BENCH_*.json` ledger, then benchmarks the runs
+//! that produce them. The paper artifacts come from the catalogue
+//! (`spritely_harness::artifacts`); absolute numbers are the
+//! simulator's, the *shape* (who wins, by what factor) is what
+//! reproduces the paper. See EXPERIMENTS.md for the side-by-side record.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+use spritely_harness::artifacts::{slug_of, Artifact, Family};
 
 /// Criterion settings tuned for whole-experiment benchmarks: each sample
 /// is a complete simulated benchmark run, so keep the counts low.
@@ -26,32 +28,34 @@ pub fn artifact_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts")
 }
 
-/// Filename slug: the part of the title before any ':', lowercased,
-/// runs of non-alphanumerics collapsed to single '_'. Also the
-/// convention for ledger keys built from run labels.
-pub fn slug_of(title: &str) -> String {
-    let head = title.split(':').next().unwrap_or(title);
-    let mut out = String::new();
-    for c in head.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('_') {
-            out.push('_');
-        }
-    }
-    out.trim_matches('_').to_string()
-}
-
 /// Prints a titled artifact block and mirrors it to
-/// `artifacts/<slug>.txt` so runs leave a diffable record.
+/// `artifacts/<slug>.txt`, for the bench-only artifacts that have no
+/// catalogue entry.
 pub fn artifact(title: &str, body: &str) {
-    artifact_named(&slug_of(title), title, body);
+    write_titled(&slug_of(title), title, body);
 }
 
-/// [`artifact`] under an explicit file stem, for benches whose titles
-/// share a slug (every "Ablation: …" title would land in
-/// `ablation.txt`); they use their ledger name instead.
-pub fn artifact_named(name: &str, title: &str, body: &str) {
+/// Emits every artifact of a catalogue family (see [`emit_artifact`])
+/// and writes its JSON snapshots under `artifacts/`.
+pub fn emit<R>(family: &Family<R>) {
+    for a in &family.artifacts {
+        emit_artifact(a);
+    }
+    for (file, json) in &family.snapshots {
+        artifact_file(file, json);
+    }
+}
+
+/// Prints an artifact, mirrors it to `artifacts/<name>.txt` and writes
+/// its ledger, if it has one.
+pub fn emit_artifact(a: &Artifact) {
+    write_titled(a.name, &a.title, &a.body);
+    if let Some((name, rows)) = &a.ledger {
+        bench_ledger(name, rows);
+    }
+}
+
+fn write_titled(name: &str, title: &str, body: &str) {
     println!("\n================ {title} ================\n{body}");
     artifact_file(&format!("{name}.txt"), &format!("{title}\n{body}\n"));
 }
@@ -106,23 +110,8 @@ pub fn jstr(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::slug_of;
-
     #[test]
     fn jstr_escapes_quotes_and_backslashes() {
         assert_eq!(super::jstr(r#"a"b\c"#), r#""a\"b\\c""#);
-    }
-
-    #[test]
-    fn slugs_are_stable() {
-        assert_eq!(
-            slug_of("Table 5-2: RPC calls for the Andrew benchmark"),
-            "table_5_2"
-        );
-        assert_eq!(
-            slug_of("Flush latency: 64-block write-back"),
-            "flush_latency"
-        );
-        assert_eq!(slug_of("Figure 5-1: server utilization"), "figure_5_1");
     }
 }

@@ -1,28 +1,31 @@
 //! Experiment harness: topologies, benchmark runners and paper-style
 //! reports for every table and figure in the paper's evaluation.
 //!
-//! | Paper artifact | Runner | Report |
-//! |---|---|---|
-//! | Table 5-1 (Andrew times) | [`run_andrew`] | [`report::table_5_1`] |
-//! | Table 5-2 (Andrew RPCs) | [`run_andrew`] | [`report::table_5_2`] |
-//! | Figure 5-1/5-2 (rates & utilization) | [`run_andrew`] | [`report::figure_series`] |
-//! | Table 5-3 (sort times) | [`run_sort_experiment`] | [`report::sort_table`] |
-//! | Table 5-4 (sort RPCs) | [`run_sort_experiment`] | [`report::sort_rpc_table`] |
-//! | Table 5-5 (infinite write-delay) | [`run_sort_experiment`] with `update_enabled = false` | [`report::sort_table`] |
-//! | Table 5-6 (RPCs, update on/off) | [`run_sort_experiment`] | [`report::sort_rpc_table`] |
-//! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] |
-//! | temp-lifetime ablation | [`run_temp_lifetime`] | — |
-//! | flush latency | [`run_flush_latency`] | [`FlushLatency::report`] |
-//! | RPC transport | [`run_transport_comparison`] | [`TransportComparison::report`] |
-//! | name-cache ablation | [`run_name_cache_ablation`] | (rendered by the runner) |
-//! | probe-interval ablation | [`run_probe_interval_ablation`] | (rendered by the runner) |
+//! [`artifacts`] is the catalogue of paper artifacts: each entry's run
+//! set, title, file stem and ledger rows, rendered per run family.
+//!
+//! | Paper artifact | Runner | Report | Catalogue |
+//! |---|---|---|---|
+//! | Table 5-1 (Andrew times) | [`run_andrew`] | [`report::table_5_1`] | [`artifacts::andrew`] |
+//! | Table 5-2 (Andrew RPCs) | [`run_andrew`] | [`report::table_5_2`] | [`artifacts::andrew`] |
+//! | Figure 5-1/5-2 (rates & utilization) | [`run_andrew`] | [`report::figure_series`] | [`artifacts::andrew`] |
+//! | Table 5-3 (sort times) | [`run_sort_experiment`] | [`report::sort_table`] | [`artifacts::sort`] |
+//! | Table 5-4 (sort RPCs) | [`run_sort_experiment`] | [`report::sort_rpc_table`] | [`artifacts::sort`] |
+//! | Table 5-5 (infinite write-delay) | [`run_sort_experiment`] with `update_enabled = false` | [`report::sort_table`] | [`artifacts::sort`] |
+//! | Table 5-6 (RPCs, update on/off) | [`run_sort_experiment`] | [`report::sort_rpc_table`] | [`artifacts::sort`] |
+//! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] | [`artifacts::micro`] |
+//! | temp-lifetime sweep | [`run_temp_lifetime`] | (rendered by the catalogue) | [`artifacts::temp_lifetime`] |
+//! | §2.3 scaling | [`run_scaling`] | (rendered by the catalogue) | [`artifacts::scaling`] |
+//! | flush latency | [`run_flush_latency`] | [`FlushLatency::report`] | [`artifacts::flush_latency`] |
+//! | RPC transport | [`run_transport_comparison`] | [`TransportComparison::report`] | [`artifacts::rpc_transport`] |
+//! | ablations | [`run_sort_with`], [`run_andrew_with`] | (rendered by the catalogue) | [`artifacts::close_bug`] … [`artifacts::probe_interval`] |
 
+pub mod artifacts;
 pub mod compare;
 pub mod config;
 pub mod report;
 pub mod snapshot;
 
-mod ablationx;
 mod andrew;
 mod chaosx;
 mod flushx;
@@ -33,7 +36,6 @@ mod sortx;
 mod testbed;
 mod transportx;
 
-pub use ablationx::{run_name_cache_ablation, run_probe_interval_ablation};
 pub use andrew::{run_andrew, run_andrew_traced, run_andrew_with, AndrewRun};
 pub use chaosx::{
     chaos_andrew, chaos_delegation, chaos_shard, chaos_write_sharing, server_digest,

@@ -139,7 +139,7 @@ pub fn sort_table(runs: &[SortRun]) -> String {
 }
 
 /// Table 5-4 / 5-6: RPC calls for the sort benchmark.
-pub fn sort_rpc_table(runs: &[SortRun]) -> String {
+pub fn sort_rpc_table<'a>(runs: impl IntoIterator<Item = &'a SortRun>) -> String {
     let mut headers = vec!["Version".to_string()];
     headers.extend(["update?", "reads", "writes", "others", "total"].map(String::from));
     let mut t = TextTable::new(headers);

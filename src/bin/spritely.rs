@@ -17,15 +17,12 @@
 
 use std::process::ExitCode;
 
+use spritely::harness::artifacts::{self, slug_of, Family};
 use spritely::harness::{
-    compare_json, render_matrix, report, run_andrew, run_andrew_traced, run_andrew_with,
-    run_flush_with, run_matrix, run_reopen, run_scaling, run_scaling_with, run_sort_experiment,
-    run_temp_lifetime, CompareOptions, Experiment, Protocol, ServerIoParams, TestbedParams,
-    WriteBehindParams,
+    compare_json, render_matrix, report, run_andrew_traced, run_andrew_with, run_flush_with,
+    run_matrix, run_scaling_with, CompareOptions, Experiment, Protocol, ServerIoParams,
+    TestbedParams, WriteBehindParams,
 };
-use spritely::metrics::TextTable;
-use spritely::proto::NfsProc;
-use spritely::sim::SimDuration;
 use spritely::trace::profile_trace;
 
 fn usage() -> ExitCode {
@@ -49,19 +46,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Ledger/filename slug for a free-form run label.
-fn slug(label: &str) -> String {
-    let mut out = String::new();
-    for c in label.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('_') {
-            out.push('_');
-        }
-    }
-    out.trim_matches('_').to_string()
-}
-
 /// Best-effort write under `artifacts/` (created on demand), relative
 /// to the current directory.
 fn write_artifact(rel: &str, contents: &str) {
@@ -82,133 +66,14 @@ fn parse_seed(args: &[String]) -> u64 {
         .unwrap_or(42)
 }
 
-fn andrew_runs(seed: u64) -> Vec<spritely::harness::AndrewRun> {
-    vec![
-        run_andrew(Protocol::Local, false, seed),
-        run_andrew(Protocol::Nfs, false, seed),
-        run_andrew(Protocol::Nfs, true, seed),
-        run_andrew(Protocol::Snfs, false, seed),
-        run_andrew(Protocol::Snfs, true, seed),
-    ]
-}
-
-fn table_5_1(seed: u64) {
-    println!("Table 5-1: Andrew benchmark elapsed time (seconds)\n");
-    println!("{}", report::table_5_1(&andrew_runs(seed)));
-}
-
-fn table_5_2(seed: u64) {
-    println!("Table 5-2: RPC calls for the Andrew benchmark (steady state)\n");
-    println!("{}", report::table_5_2(&andrew_runs(seed)));
-}
-
-fn table_5_3() {
-    let mut runs = Vec::new();
-    for &kb in &[281u64, 1408, 2816] {
-        for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-            runs.push(run_sort_experiment(p, kb * 1024, true));
+/// Prints the catalogue artifacts of `family` named in `names`, or all
+/// of them when `names` is empty.
+fn show<R>(family: &Family<R>, names: &[&str]) {
+    for a in &family.artifacts {
+        if names.is_empty() || names.contains(&a.name) {
+            print!("{}", a.rendered());
         }
     }
-    println!("Table 5-3: results of sort benchmark\n");
-    println!("{}", report::sort_table(&runs));
-}
-
-fn table_5_4() {
-    let runs = vec![
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, true),
-    ];
-    println!("Table 5-4: RPC calls for sort benchmark (2816 KB)\n");
-    println!("{}", report::sort_rpc_table(&runs));
-}
-
-fn table_5_5() {
-    let mut runs = Vec::new();
-    for &kb in &[281u64, 1408, 2816] {
-        for p in [Protocol::Local, Protocol::Nfs, Protocol::Snfs] {
-            runs.push(run_sort_experiment(p, kb * 1024, false));
-        }
-    }
-    println!("Table 5-5: sort benchmark, infinite write-delay\n");
-    println!("{}", report::sort_table(&runs));
-}
-
-fn table_5_6() {
-    let runs = vec![
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Nfs, 2816 * 1024, false),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, true),
-        run_sort_experiment(Protocol::Snfs, 2816 * 1024, false),
-    ];
-    println!("Table 5-6: RPC calls for sort, update on/off (2816 KB)\n");
-    println!("{}", report::sort_rpc_table(&runs));
-}
-
-fn figure(which: &str, seed: u64) {
-    let (proto, title) = match which {
-        "5-1" => (Protocol::Nfs, "Figure 5-1 (NFS)"),
-        "5-2" => (Protocol::Snfs, "Figure 5-2 (SNFS)"),
-        _ => unreachable!("validated by caller"),
-    };
-    let run = run_andrew(proto, true, seed);
-    println!("# {title}: server utilization and call rates, /tmp remote");
-    print!("{}", report::figure_series(&run));
-}
-
-fn micro() {
-    let runs = vec![
-        run_reopen(Protocol::Nfs, true, 1024 * 1024),
-        run_reopen(Protocol::Nfs, false, 1024 * 1024),
-        run_reopen(Protocol::NfsFixed, true, 1024 * 1024),
-        run_reopen(Protocol::Snfs, true, 1024 * 1024),
-    ];
-    println!("Section 5.3 microbenchmark: write-close-reopen-read (1 MB)\n");
-    println!("{}", report::reopen_table(&runs));
-}
-
-fn lifetime() {
-    println!("Temp-file lifetime sweep (64 KB, deleted after <lifetime>):\n");
-    let mut t = TextTable::new(vec!["lifetime", "NFS writes", "SNFS writes"]);
-    for secs in [1u64, 5, 15, 45, 90] {
-        let d = SimDuration::from_secs(secs);
-        let nfs = run_temp_lifetime(Protocol::Nfs, 64 * 1024, d);
-        let snfs = run_temp_lifetime(Protocol::Snfs, 64 * 1024, d);
-        t.row(vec![
-            format!("{secs} s"),
-            nfs.write_rpcs.to_string(),
-            snfs.write_rpcs.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn scaling(seed: u64) {
-    println!("Server scaling (§2.3): concurrent diskless-workstation clients\n");
-    let mut t = TextTable::new(vec![
-        "clients",
-        "NFS makespan",
-        "SNFS makespan",
-        "speedup",
-        "NFS ops",
-        "SNFS ops",
-    ]);
-    for &n in &[1usize, 2, 4, 8] {
-        let nfs = run_scaling(Protocol::Nfs, n, seed);
-        let snfs = run_scaling(Protocol::Snfs, n, seed);
-        t.row(vec![
-            n.to_string(),
-            format!("{:.0} s", nfs.makespan.as_secs_f64()),
-            format!("{:.0} s", snfs.makespan.as_secs_f64()),
-            format!(
-                "{:.2}x",
-                nfs.makespan.as_secs_f64() / snfs.makespan.as_secs_f64()
-            ),
-            nfs.ops.total().to_string(),
-            snfs.ops.total().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let _ = NfsProc::Null; // keep the import obviously used
 }
 
 fn matrix(seed: u64, threads: usize) {
@@ -240,7 +105,7 @@ fn matrix(seed: u64, threads: usize) {
     );
     println!("{}", render_matrix(&results));
     for r in &results {
-        write_artifact(&format!("matrix/{}.json", slug(&r.label)), &r.stats_json);
+        write_artifact(&format!("matrix/{}.json", slug_of(&r.label)), &r.stats_json);
     }
 }
 
@@ -333,6 +198,11 @@ fn compare(a: &str, b: &str, args: &[String]) -> ExitCode {
     }
 }
 
+/// Catalogue file stem of `table 5-1`, `figure 5-2`, ...
+fn stem(cmd: &str, number: &str) -> String {
+    format!("{cmd}_{}", number.replace('-', "_"))
+}
+
 fn parse_threads(args: &[String]) -> usize {
     args.windows(2)
         .find(|w| w[0] == "--threads")
@@ -352,16 +222,15 @@ fn main() -> ExitCode {
     };
     let arg = words.next().map(String::as_str);
     match (cmd, arg) {
-        ("table", Some("5-1")) => table_5_1(seed),
-        ("table", Some("5-2")) => table_5_2(seed),
-        ("table", Some("5-3")) => table_5_3(),
-        ("table", Some("5-4")) => table_5_4(),
-        ("table", Some("5-5")) => table_5_5(),
-        ("table", Some("5-6")) => table_5_6(),
-        ("figure", Some(f @ ("5-1" | "5-2"))) => figure(f, seed),
-        ("micro", None) => micro(),
-        ("lifetime", None) => lifetime(),
-        ("scaling", None) => scaling(seed),
+        ("table" | "figure", Some(n @ ("5-1" | "5-2"))) => {
+            show(&artifacts::andrew(seed), &[&stem(cmd, n)]);
+        }
+        ("table", Some(n @ ("5-3" | "5-4" | "5-5" | "5-6"))) => {
+            show(&artifacts::sort(), &[&stem(cmd, n)]);
+        }
+        ("micro", None) => show(&artifacts::micro(), &[]),
+        ("lifetime", None) => show(&artifacts::temp_lifetime(), &[]),
+        ("scaling", None) => show(&artifacts::scaling(seed), &[]),
         ("matrix", None) => matrix(seed, parse_threads(&args)),
         ("profile", Some(w)) => return profile(w, seed),
         ("compare", Some(a)) => {
@@ -371,17 +240,11 @@ fn main() -> ExitCode {
             return compare(a, b, &args);
         }
         ("all", None) => {
-            table_5_1(seed);
-            table_5_2(seed);
-            table_5_3();
-            table_5_4();
-            table_5_5();
-            table_5_6();
-            figure("5-1", seed);
-            figure("5-2", seed);
-            micro();
-            lifetime();
-            scaling(seed);
+            show(&artifacts::andrew(seed), &[]);
+            show(&artifacts::sort(), &[]);
+            show(&artifacts::micro(), &[]);
+            show(&artifacts::temp_lifetime(), &[]);
+            show(&artifacts::scaling(seed), &[]);
         }
         _ => return usage(),
     }

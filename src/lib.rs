@@ -45,8 +45,9 @@
 //! assert!(snfs.elapsed < nfs.elapsed);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! Criterion benches that regenerate each table and figure.
+//! See `examples/` for runnable scenarios. Every table and figure is
+//! defined once in [`harness::artifacts`]; the `spritely` CLI prints
+//! them and the Criterion benches in `crates/bench` regenerate them.
 
 pub use spritely_blockdev as blockdev;
 pub use spritely_core as snfs;

@@ -1,5 +1,6 @@
-//! The `spritely compare` command line: the exit code is the verdict
-//! (0 clean, 1 a leaf past its threshold), so a script can gate on it.
+//! The `spritely` command line. `compare`'s exit code is the verdict
+//! (0 clean, 1 a leaf past its threshold), so a script can gate on it;
+//! `table` prints the gated catalogue artifact byte for byte.
 
 use std::path::Path;
 use std::process::Command;
@@ -9,6 +10,18 @@ fn baseline_path() -> String {
         "{}/baselines/profile_andrew_snfs.json",
         env!("CARGO_MANIFEST_DIR")
     )
+}
+
+#[test]
+fn table_5_4_prints_the_baselined_artifact() {
+    let out = Command::new(env!("CARGO_BIN_EXE_spritely"))
+        .args(["table", "5-4"])
+        .output()
+        .expect("run spritely table 5-4");
+    assert!(out.status.success());
+    let path = format!("{}/baselines/table_5_4.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).expect("read table 5-4 baseline");
+    assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), want);
 }
 
 fn compare(a: &str, b: &str) -> Option<i32> {
