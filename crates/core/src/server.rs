@@ -455,6 +455,14 @@ impl SnfsServer {
     }
 
     /// Builds the RPC endpoint for this server.
+    ///
+    /// The endpoint does not keep the server alive: its handler holds a
+    /// weak reference, so the caller must own the `SnfsServer` for as
+    /// long as the endpoint serves requests. A request that arrives after
+    /// the server was dropped panics. The server reaches its clients
+    /// (callbacks) and peer shards through callers whose endpoints reach
+    /// back into it, so a strong reference here would close a cycle that
+    /// is never freed.
     pub fn endpoint(
         &self,
         name: impl Into<String>,
@@ -462,9 +470,13 @@ impl SnfsServer {
         params: EndpointParams,
         counter: OpCounter,
     ) -> Endpoint<NfsRequest, NfsReply> {
-        let this = self.clone();
+        let inner = Rc::downgrade(&self.inner);
         let handler = Rc::new(move |from: ClientId, ctx: u64, req: NfsRequest| {
-            let this = this.clone();
+            let this = SnfsServer {
+                inner: inner
+                    .upgrade()
+                    .expect("SnfsServer dropped while its endpoint still serves requests"),
+            };
             Box::pin(async move { this.handle(from, ctx, req).await })
                 as std::pin::Pin<Box<dyn std::future::Future<Output = NfsReply>>>
         });

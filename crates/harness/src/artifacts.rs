@@ -15,6 +15,7 @@
 //! | [`micro`] | §5.3 write-close-reopen-read (1 MB) |
 //! | [`temp_lifetime`] | temp-file lifetime sweep |
 //! | [`scaling`] | §2.3 multi-client capacity |
+//! | [`server_scaling`] | paper vs pipelined server I/O at 4 and 8 clients |
 //! | [`flush_latency`] | serial vs gathered+pipelined flush |
 //! | [`rpc_transport`] | paper vs pipelined transport |
 //! | [`close_bug`], [`delayed_close`], [`write_delay`], [`name_cache`], [`probe_interval`] | the ablations |
@@ -28,9 +29,9 @@ use crate::andrew::{run_andrew, run_andrew_traced, run_andrew_with, AndrewRun};
 use crate::flushx::{run_flush_latency, FlushLatency};
 use crate::microx::{run_reopen, run_temp_lifetime};
 use crate::report;
-use crate::scaling::run_scaling;
+use crate::scaling::{run_scaling, run_scaling_with, ScalingRun};
 use crate::sortx::{run_sort_experiment, run_sort_with, SortRun};
-use crate::testbed::{Protocol, TestbedParams};
+use crate::testbed::{Protocol, ServerIoParams, TestbedParams};
 use crate::transportx::{run_transport_comparison, TransportComparison};
 
 /// Ledger rows: `(key, raw JSON value)` pairs.
@@ -398,6 +399,90 @@ pub fn scaling(seed: u64) -> Family<()> {
         )
         .ledger("scaling", rows),
     )
+}
+
+/// One server-scaling run: `clients` SNFS clients with `/tmp` remote
+/// over the given server I/O pipeline (seed 42).
+pub fn server_scaling_run(io: ServerIoParams, clients: usize, trace: bool) -> ScalingRun {
+    let params = TestbedParams {
+        protocol: Protocol::Snfs,
+        tmp_remote: true,
+        server_io: io,
+        trace,
+        ..TestbedParams::default()
+    };
+    run_scaling_with(params, clients, 42)
+}
+
+/// What the server-scaling gate checks beyond the rendering.
+pub struct ServerScalingRuns {
+    /// 8-client makespan, paper over pipelined.
+    pub gain_at_8: f64,
+    /// Pipelined with 4 clients, traced and checked: a real C-LOOK
+    /// schedule for the disk-queue checker rule.
+    pub traced: ScalingRun,
+}
+
+/// Server scaling with the server I/O pipeline (§2.3 extended): the
+/// same SNFS clients against the paper-faithful FIFO server
+/// ([`ServerIoParams::paper`]) and the pipelined one
+/// ([`ServerIoParams::pipelined`]). The pipeline only reorders and
+/// absorbs server disk work; writes stay synchronous.
+pub fn server_scaling() -> Family<ServerScalingRuns> {
+    let mut t = TextTable::new(vec![
+        "clients",
+        "paper s",
+        "pipelined s",
+        "speedup",
+        "paper util",
+        "pipe util",
+    ]);
+    let mut labeled: Vec<(String, ScalingRun)> = Vec::new();
+    let mut gain_at_8 = 0.0;
+    for n in [4usize, 8] {
+        let paper = server_scaling_run(ServerIoParams::paper(), n, false);
+        let pipe = server_scaling_run(ServerIoParams::pipelined(), n, false);
+        let speedup = paper.makespan.as_secs_f64() / pipe.makespan.as_secs_f64();
+        if n == 8 {
+            gain_at_8 = speedup;
+        }
+        t.row(vec![
+            n.to_string(),
+            format!("{:.0}", paper.makespan.as_secs_f64()),
+            format!("{:.0}", pipe.makespan.as_secs_f64()),
+            format!("{speedup:.2}x"),
+            format!("{:.2}", paper.server_util),
+            format!("{:.2}", pipe.server_util),
+        ]);
+        labeled.push((format!("paper/{n}"), paper));
+        labeled.push((format!("pipelined/{n}"), pipe));
+    }
+    let rows: Vec<(&str, &ScalingRun)> = labeled.iter().map(|(l, r)| (l.as_str(), r)).collect();
+    let body = format!(
+        "{}\nserver I/O pipeline observability:\n{}",
+        t.render(),
+        report::server_io_table(&rows)
+    );
+    let mut ledger: LedgerRows = labeled
+        .iter()
+        .map(|(label, r)| (format!("{}_makespan_s", slug_of(label)), secs1(r.makespan)))
+        .collect();
+    ledger.push(("gain_at_8_x".into(), format!("{gain_at_8:.2}")));
+    let artifact = Artifact::new(
+        "server_scaling",
+        "Server scaling: FIFO paper server vs pipelined server I/O (SNFS, seed 42)",
+        body,
+    )
+    .ledger("server_scaling", ledger);
+    // The 8-client pipelined run's snapshot, for offline diffing.
+    let pipe8 = &labeled.last().expect("runs recorded").1;
+    let snapshots = vec![("stats_server_scaling.json", pipe8.stats.to_json())];
+    let traced = server_scaling_run(ServerIoParams::pipelined(), 4, true);
+    Family {
+        artifacts: vec![artifact],
+        snapshots,
+        runs: ServerScalingRuns { gain_at_8, traced },
+    }
 }
 
 /// Time to flush a 64-block dirty file: the paper's serial flush vs

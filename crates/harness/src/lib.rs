@@ -16,6 +16,7 @@
 //! | §5.3 micro | [`run_reopen`] | [`report::reopen_table`] | [`artifacts::micro`] |
 //! | temp-lifetime sweep | [`run_temp_lifetime`] | (rendered by the catalogue) | [`artifacts::temp_lifetime`] |
 //! | §2.3 scaling | [`run_scaling`] | (rendered by the catalogue) | [`artifacts::scaling`] |
+//! | server I/O scaling | [`run_scaling_with`] | [`report::server_io_table`] | [`artifacts::server_scaling`] |
 //! | flush latency | [`run_flush_latency`] | [`FlushLatency::report`] | [`artifacts::flush_latency`] |
 //! | RPC transport | [`run_transport_comparison`] | [`TransportComparison::report`] | [`artifacts::rpc_transport`] |
 //! | ablations | [`run_sort_with`], [`run_andrew_with`] | (rendered by the catalogue) | [`artifacts::close_bug`] … [`artifacts::probe_interval`] |

@@ -986,3 +986,12 @@ impl Testbed {
         });
     }
 }
+
+/// Dropping a testbed frees its whole simulation. Every daemon task
+/// holds a `Sim` clone and the simulation holds every task, so without
+/// [`Sim::shutdown`] neither would ever be freed.
+impl Drop for Testbed {
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}

@@ -434,6 +434,33 @@ impl Sim {
         }
     }
 
+    /// Drops every task's future, so a simulation whose tasks hold
+    /// [`Sim`] clones (every daemon loop does) can be freed.
+    ///
+    /// The futures are taken out while the core is borrowed and dropped
+    /// after it is released, because their destructors re-enter it
+    /// (`Sleep::drop` cancels its timer). The slots and their
+    /// generations stay in place: a task that calls this from inside
+    /// its own poll is not in its slot at that moment, and completes
+    /// into that slot normally. Futures dropped here may spawn, so this
+    /// repeats until no slot holds one. Later wakes of the emptied
+    /// slots count as stale.
+    pub fn shutdown(&self) {
+        loop {
+            let futs: Vec<_> = self
+                .core
+                .borrow_mut()
+                .tasks
+                .iter_mut()
+                .filter_map(|slot| slot.as_mut()?.fut.take())
+                .collect();
+            if futs.is_empty() {
+                return;
+            }
+            drop(futs);
+        }
+    }
+
     /// Number of live (spawned, not yet finished) tasks.
     pub fn live_tasks(&self) -> usize {
         self.core.borrow().live_tasks
@@ -872,6 +899,71 @@ mod tests {
         assert_eq!(st.tasks_spawned, 8);
         assert_eq!(st.tasks_completed, 8);
         assert!(st.peak_live_tasks <= 4, "slots were not reused");
+    }
+
+    /// A daemon loop: holds a `Sim` clone and the probe, and sleeps
+    /// forever.
+    fn spawn_daemon(sim: &Sim, probe: Rc<()>) {
+        let s = sim.clone();
+        sim.spawn(async move {
+            let _probe = probe;
+            loop {
+                s.sleep(SimDuration::from_secs(30)).await;
+            }
+        });
+    }
+
+    #[test]
+    fn shutdown_frees_a_task_that_holds_a_sim_clone() {
+        let sim = Sim::new();
+        let probe = Rc::new(());
+        let weak_probe = Rc::downgrade(&probe);
+        spawn_daemon(&sim, probe);
+        let s = sim.clone();
+        sim.block_on(async move { s.sleep(SimDuration::from_secs(1)).await });
+        let weak_core = Rc::downgrade(&sim.core);
+        sim.shutdown();
+        assert!(weak_probe.upgrade().is_none(), "the task's future survived");
+        drop(sim);
+        assert!(
+            weak_core.upgrade().is_none(),
+            "the core survived its last handle"
+        );
+    }
+
+    #[test]
+    fn shutdown_cancels_pending_timers() {
+        let sim = Sim::new();
+        for _ in 0..3 {
+            spawn_daemon(&sim, Rc::new(()));
+        }
+        sim.block_on(yield_now());
+        assert_eq!(sim.live_timers(), 3);
+        sim.shutdown();
+        assert_eq!(sim.live_timers(), 0, "Sleep::drop must cancel each timer");
+        assert_eq!(sim.stats().timer_cancels, 3);
+    }
+
+    #[test]
+    fn shutdown_from_inside_a_running_task_does_not_panic() {
+        let sim = Sim::new();
+        let probe = Rc::new(());
+        let weak_probe = Rc::downgrade(&probe);
+        spawn_daemon(&sim, probe);
+        let s = sim.clone();
+        let out = sim.block_on(async move {
+            s.sleep(SimDuration::from_secs(1)).await;
+            s.shutdown();
+            // The calling task keeps running and completes into its slot.
+            s.sleep(SimDuration::from_secs(1)).await;
+            s.now()
+        });
+        assert_eq!(out, SimTime::from_micros(2_000_000));
+        assert!(weak_probe.upgrade().is_none());
+        // The emptied daemon slot stays put; a later spawn reuses the
+        // finished task's slot.
+        let s = sim.clone();
+        assert_eq!(sim.block_on(async move { s.now() }), out);
     }
 
     #[test]

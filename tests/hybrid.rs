@@ -20,6 +20,8 @@ use spritely::snfs::{
 struct HybridRig {
     sim: Sim,
     fs: LocalFs,
+    /// Owns the server: its endpoint holds only a weak reference.
+    _server: SnfsServer,
     snfs_client: SnfsClient,
     nfs_client: NfsClient,
 }
@@ -84,6 +86,7 @@ fn rig(hybrid: bool) -> HybridRig {
     HybridRig {
         sim,
         fs,
+        _server: server,
         snfs_client,
         nfs_client,
     }

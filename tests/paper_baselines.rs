@@ -6,20 +6,20 @@
 //! (`spritely::harness::artifacts`) must stay byte-identical to its
 //! committed `baselines/` snapshot. The one exception is the §2.3
 //! `scaling` entry: its multi-client numbers moved when delegations
-//! landed and are not baselined until that drift is explained. This is what lets the server I/O
-//! pipeline (`ServerIoParams::pipelined`) and the transport pipeline
-//! (`TransportParams::pipelined`) land as pure opt-ins: the measured
-//! 1989 system is reproduced bit-for-bit unless the pipelines are asked
-//! for.
+//! landed and are not baselined until that drift is explained. This is
+//! what lets the server I/O pipeline (`ServerIoParams::pipelined`) and
+//! the transport pipeline (`TransportParams::pipelined`) land as pure
+//! opt-ins: the measured 1989 system is reproduced bit-for-bit unless
+//! the pipelines are asked for.
 //!
 //! Each test renders one catalogue family, the same objects the CLI
 //! prints and the benches write, and runs it through one comparison
 //! loop: every artifact against `baselines/<name>.txt` and every JSON
 //! snapshot against its file. The figure, flush-latency, transport and
 //! traced-Andrew artifacts also pin the multi-client and single-server
-//! testbed topologies and the latency profile byte for byte. The flush
-//! and transport tests also hold the perf-mode gains the opt-in
-//! pipelines promise.
+//! testbed topologies and the latency profile byte for byte. The flush,
+//! transport and server-scaling tests also hold the perf-mode gains the
+//! opt-in pipelines promise.
 
 use std::fs;
 
@@ -240,6 +240,28 @@ fn rpc_transport_matches_baselines() {
         trace.ok(),
         "trace checker found violations:\n{}",
         report::trace_summary(&trace)
+    );
+}
+
+#[test]
+fn server_scaling_matches_baselines() {
+    // Paper vs pipelined server I/O at 4 and 8 clients, and the
+    // 8-client pipelined run's stats snapshot.
+    let scaling = artifacts::server_scaling();
+    assert_matches_baselines(&scaling);
+    let speedup_at_8 = scaling.runs.gain_at_8;
+    assert!(
+        speedup_at_8 >= 1.3,
+        "pipelined server I/O must cut 8-client makespan by >= 1.3x, got {speedup_at_8:.2}x"
+    );
+    // A traced pipelined run feeds the disk-queue/reorder checker rule
+    // with a real C-LOOK schedule; any bypass past the aging limit or an
+    // unqueued completion is a violation.
+    let trace = scaling.runs.traced.trace.as_ref().expect("tracing was on");
+    assert!(
+        trace.ok(),
+        "trace checker found violations:\n{}",
+        report::trace_summary(trace)
     );
 }
 
